@@ -131,7 +131,6 @@ def _run(args, cfg: Config) -> int:
             keying=keying,
             chunk_params=chunk_params,
             seg_params=cfg.segment_params,
-            workers=cfg.getint("client", "encrypt_workers"),
             allow_basic_with_similarity=cfg.getbool(
                 "client", "allow_basic_with_similarity"),
         )
@@ -140,8 +139,7 @@ def _run(args, cfg: Config) -> int:
 
     if args.command == "download":
         identity = _identity(cfg)
-        data = download(args.file_id, identity=identity, store=_store_session(cfg),
-                        workers=cfg.getint("client", "encrypt_workers"))
+        data = download(args.file_id, identity=identity, store=_store_session(cfg))
         with open(args.output, "wb") as fh:
             fh.write(data)
         print(f"wrote {len(data)} bytes to {args.output}")

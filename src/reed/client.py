@@ -14,7 +14,6 @@ import json
 import os
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives import serialization
@@ -154,10 +153,10 @@ class ClientIdentity:
             serialization.NoEncryption())
         with open(os.path.join(directory, "access_key.pem"), "wb") as fh:
             fh.write(pem)
+        deriv = self.derivation
         meta = {"user_id": self.user_id,
-                "derivation": {"n": hex(self.derivation.n),
-                               "e": self.derivation.e,
-                               "d": hex(self.derivation.d)}}
+                "derivation": {"n": hex(deriv.n), "e": deriv.e, "d": hex(deriv.d),
+                               "p": hex(deriv.p), "q": hex(deriv.q)}}
         with open(os.path.join(directory, "identity.json"), "w") as fh:
             json.dump(meta, fh)
 
@@ -167,9 +166,13 @@ class ClientIdentity:
             meta = json.load(fh)
         with open(os.path.join(directory, "access_key.pem"), "rb") as fh:
             key = serialization.load_pem_private_key(fh.read(), password=None)
-        deriv = DerivationKeyPair(n=int(meta["derivation"]["n"], 16),
-                                  e=meta["derivation"]["e"],
-                                  d=int(meta["derivation"]["d"], 16))
+        fields = meta["derivation"]
+        n, e, d = int(fields["n"], 16), fields["e"], int(fields["d"], 16)
+        if "p" in fields:
+            p, q = int(fields["p"], 16), int(fields["q"], 16)
+        else:  # written before identities kept the primes
+            p, q = rsa.rsa_recover_prime_factors(n, e, d)
+        deriv = DerivationKeyPair(n=n, e=e, d=d, p=p, q=q)
         return cls(user_id=meta["user_id"], access_key=key, derivation=deriv)
 
     def public_record(self) -> bytes:
@@ -259,7 +262,6 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
            keying: str = KEYING_SIMILARITY,
            chunk_params: ChunkingParams | None = None,
            seg_params: SegmentationParams | None = None,
-           workers: int = 2,
            allow_basic_with_similarity: bool = False) -> str:
     """Run the full upload pipeline; returns the file id."""
     members = sorted(set(policy))
@@ -286,15 +288,9 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
     else:
         per_chunk_keys, seg_idx = [], []
 
-    def transform(args):
-        chunk, key = args
-        return caont.encrypt_chunk(scheme, chunk.data, key)
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            packages = list(pool.map(transform, zip(chunks, per_chunk_keys)))
-    else:
-        packages = [transform(args) for args in zip(chunks, per_chunk_keys)]
+    # CAONT holds the interpreter lock, so a thread pool here only adds cost.
+    packages = [caont.encrypt_chunk(scheme, chunk.data, key)
+                for chunk, key in zip(chunks, per_chunk_keys)]
 
     directory = {}
     for uid in members:
@@ -329,8 +325,7 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
     return file_id
 
 
-def download(file_id: str, *, identity: ClientIdentity, store: StoreSession,
-             workers: int = 2) -> bytes:
+def download(file_id: str, *, identity: ClientIdentity, store: StoreSession) -> bytes:
     """Fetch, verify, and reassemble a file; aborts on any tampered chunk."""
     recipe = Recipe.decode(store.get_recipe(file_id))
     state_version, wrapped = store.get_state(file_id)
@@ -356,18 +351,8 @@ def download(file_id: str, *, identity: ClientIdentity, store: StoreSession,
     if batch:
         trimmed.extend(store.get_packages(batch))
 
-    def reconstruct(args):
-        t, s = args
-        return caont.decrypt_chunk(recipe.scheme, t, s)
-
-    pairs = list(zip(trimmed, stubs))
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(reconstruct, pairs))
-    else:
-        chunks = [reconstruct(p) for p in pairs]
-
-    data = b"".join(chunks)
+    data = b"".join(caont.decrypt_chunk(recipe.scheme, t, s)
+                    for t, s in zip(trimmed, stubs))
     if len(data) != recipe.size:
         raise IntegrityViolation("reassembled size does not match the recipe")
     return data

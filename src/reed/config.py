@@ -3,7 +3,7 @@
 Documented keys (all optional; defaults shown in DEFAULTS below):
 
     [client]  server, manager, identity_dir, scheme, keying,
-              encrypt_workers, allow_basic_with_similarity
+              allow_basic_with_similarity
     [chunk]   mode, fixed_size, min_size, avg_size, max_size
     [segment] avg_size
     [server]  listen, data_root, key_root, container_size
@@ -25,7 +25,6 @@ DEFAULTS = {
         "identity_dir": "./reed-identity",
         "scheme": "enhanced",
         "keying": "similarity",
-        "encrypt_workers": "2",
         "allow_basic_with_similarity": "false",
     },
     "chunk": {

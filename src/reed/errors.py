@@ -33,6 +33,10 @@ class SignatureInvalid(ReedError):
     """An unblinded key-manager response failed verification."""
 
 
+class PrivateKeyFault(ReedError):
+    """A private-key result failed its public-exponent check (fault or bad key)."""
+
+
 class RateLimited(ReedError):
     """The key manager refused the request; the client must back off."""
 

@@ -32,8 +32,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from . import caont
 from .errors import (AccessDenied, AtInitialState, NotFound, NotOwner,
                      PolicyEmpty, UnknownUser)
+from .keygen import RSAKeyPair
 
-DERIVATION_BITS = 1024
 ACCESS_KEY_BITS = 2048
 
 LAZY = "lazy"
@@ -41,18 +41,8 @@ ACTIVE = "active"
 
 
 @dataclass(frozen=True)
-class DerivationKeyPair:
+class DerivationKeyPair(RSAKeyPair):
     """Owner RSA pair: d winds states forward, (n, e) unwinds them back."""
-
-    n: int
-    e: int
-    d: int
-
-    @classmethod
-    def generate(cls, bits: int = DERIVATION_BITS) -> "DerivationKeyPair":
-        key = rsa.generate_private_key(public_exponent=65537, key_size=bits)
-        priv = key.private_numbers()
-        return cls(n=priv.public_numbers.n, e=priv.public_numbers.e, d=priv.d)
 
 
 @dataclass(frozen=True)
@@ -86,10 +76,10 @@ def new_state(owner_id: str, keys: DerivationKeyPair) -> KeyState:
 
 def wind(state: KeyState, keys: DerivationKeyPair | None) -> KeyState:
     """Advance one version; only the owner's private key can do this."""
-    if keys is None or keys.d is None or keys.n != state.owner_n:
+    if keys is None or keys.n != state.owner_n:
         raise NotOwner("winding requires the owner's private derivation key")
     return KeyState(owner_id=state.owner_id, version=state.version + 1,
-                    value=pow(state.value, keys.d, keys.n),
+                    value=keys.raise_to_d(state.value),
                     owner_n=state.owner_n, owner_e=state.owner_e)
 
 

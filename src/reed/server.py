@@ -102,9 +102,7 @@ class ContainerStore:
         if len(data) > self.capacity:
             raise ValueError("item exceeds container capacity")
         if self._open_size and self._open_size + len(data) > self.capacity:
-            self.flush()
-            self._fh.close()
-            self._fh = None
+            self.close()  # after recover() the open container has no handle yet
             self._open_id += 1
             self._open_size = 0
         self._ensure_open()

@@ -1,11 +1,21 @@
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 from reed.client import (ClientIdentity, Connection, StoreSession,
                          register_identity)
 from reed.keygen import KeyManagerService, KeySession, ManagerKeyPair
 from reed.server import FrameServer, StorageService
+
+
+def private_operands(keys):
+    """Values to raise to d: any residue, plus 1, n-1 and multiples of p or q,
+    where one CRT half is zero."""
+    n, p, q = keys.n, keys.p, keys.q
+    return st.one_of(st.integers(1, n - 1), st.sampled_from([1, n - 1]),
+                     st.integers(1, q - 1).map(lambda k: k * p),
+                     st.integers(1, p - 1).map(lambda k: k * q))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 
@@ -6,12 +7,12 @@ import pytest
 
 from reed import caont, cli
 from reed.chunking import ChunkingParams
-from reed.client import (Connection, StoreSession, download, file_id_for,
-                         rekey_file, upload)
+from reed.client import (ClientIdentity, Connection, StoreSession, download,
+                         file_id_for, rekey_file, upload)
 from reed.errors import (AccessDenied, IntegrityViolation, NotOwner,
                          PolicyEmpty, SchemeNotAllowed, UnknownUser)
 from reed.keygen import KeySession
-from reed.rekeying import derive_file_key, unwrap_state
+from reed.rekeying import derive_file_key, new_state, unwrap_state, wind
 
 FIXED_8K = ChunkingParams(mode="fixed", fixed_size=8192)
 
@@ -212,23 +213,47 @@ def test_corrupted_package_aborts_download(ready, identities, tmp_path):
         download(fid, identity=identities["alice"], store=store)
 
 
-def test_pipelined_and_serial_uploads_are_byte_identical(tmp_path, manager_keypair,
-                                                         identities):
+def test_uploads_to_fresh_stores_are_byte_identical(tmp_path, manager_keypair,
+                                                     identities):
     from conftest import Cluster
     data = random.Random(8).randbytes(1 << 20)
+    path = write_file(tmp_path, "same.bin", data)
     digests = []
-    for workers in (1, 4):
-        root = str(tmp_path / f"w{workers}")
-        c = Cluster(root, manager_keypair)
+    for run in range(2):
+        c = Cluster(str(tmp_path / f"run{run}"), manager_keypair)
         try:
             c.register(identities["alice"])
-            path = write_file(tmp_path, "same.bin", data)
             upload(path, policy=["alice"], identity=identities["alice"],
-                   store=c.store_session(), keys=c.key_session(), workers=workers)
+                   store=c.store_session(), keys=c.key_session())
             digests.append(dir_digest(os.path.join(c.data_root, "containers")))
         finally:
             c.stop()
     assert digests[0] == digests[1]
+
+
+def test_identity_save_load_keeps_primes(identities, tmp_path):
+    alice = identities["alice"]
+    alice.save(str(tmp_path))
+    assert ClientIdentity.load(str(tmp_path)).derivation == alice.derivation
+
+
+def test_identity_without_primes_loads_and_winds_alike(identities, tmp_path):
+    alice = identities["alice"]
+    alice.save(str(tmp_path))
+    meta_path = os.path.join(str(tmp_path), "identity.json")
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    meta["derivation"] = {k: meta["derivation"][k] for k in ("n", "e", "d")}
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    loaded = ClientIdentity.load(str(tmp_path)).derivation
+    assert (loaded.n, loaded.e, loaded.d) == (alice.derivation.n, alice.derivation.e,
+                                              alice.derivation.d)
+    state = new_state("alice", alice.derivation)
+    ours, theirs = state, state
+    for _ in range(3):
+        ours, theirs = wind(ours, alice.derivation), wind(theirs, loaded)
+        assert ours == theirs
 
 
 def test_no_key_material_on_the_wire(ready, identities, tmp_path):

@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import private_operands
 from reed.chunking import Chunk, Segment
-from reed.errors import (InvalidOperand, RateLimited, SignatureInvalid,
-                         ZeroFingerprint)
+from reed.errors import (InvalidOperand, PrivateKeyFault, RateLimited,
+                         SignatureInvalid, ZeroFingerprint)
 from reed.keygen import (KeyManagerService, KeySession, ManagerKeyPair,
                          TokenBucket, blind, derive_chunk_key, unblind)
 from reed.wire import LocalBackend
@@ -219,7 +223,9 @@ def test_rate_limit_propagates_over_frames(pair):
 def test_keypair_pem_round_trip(pair, tmp_path):
     path = str(tmp_path / "manager.pem")
     pair.save_pem(path)
-    assert ManagerKeyPair.load_pem(path) == pair
+    loaded = ManagerKeyPair.load_pem(path)
+    assert loaded == pair
+    assert (loaded.p, loaded.q) == (pair.p, pair.q)
     assert ManagerKeyPair.load_or_create(path) == pair
 
 
@@ -227,3 +233,29 @@ def test_keypair_created_on_first_boot(tmp_path):
     path = str(tmp_path / "fresh.pem")
     first = ManagerKeyPair.load_or_create(path)
     assert ManagerKeyPair.load_or_create(path) == first
+
+
+# -- private exponent by CRT -----------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sign_batch_equals_full_exponent(pair, data):
+    service = KeyManagerService(pair)
+    values = data.draw(st.lists(private_operands(pair), min_size=1, max_size=4))
+    assert service.sign_batch(values, "c") == [pow(v, pair.d, pair.n) for v in values]
+
+
+def test_faulty_crt_exponent_never_signs(pair):
+    faulty = dataclasses.replace(pair)
+    object.__setattr__(faulty, "dq", faulty.dq ^ 2)
+    service = KeyManagerService(faulty)
+    out = None
+    with pytest.raises(PrivateKeyFault):
+        out = service.sign_batch([int.from_bytes(os.urandom(32), "big")], "c")
+    assert out is None and service.signed_count == 0
+
+
+def test_primes_must_match_modulus(pair):
+    with pytest.raises(ValueError):
+        ManagerKeyPair(n=pair.n, e=pair.e, d=pair.d, p=pair.p, q=pair.q + 2)

@@ -1,14 +1,18 @@
+import dataclasses
 import hashlib
 import os
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import private_operands
 from reed import caont, rekeying
 from reed.client import StoreSession
 from reed.errors import (AccessDenied, AtInitialState, NotOwner, PolicyEmpty,
-                         UnknownUser, VersionConflict)
-from reed.rekeying import (DerivationKeyPair, derive_file_key,
+                         PrivateKeyFault, UnknownUser, VersionConflict)
+from reed.rekeying import (DerivationKeyPair, KeyState, derive_file_key,
                            generate_access_keypair, new_state, unwind,
                            unwind_to, unwrap_state, wind, wrap_state,
                            wrapped_policy, wrapped_version)
@@ -53,6 +57,27 @@ def test_wind_requires_private_key(owner_keys):
         wind(state, None)
     with pytest.raises(NotOwner):
         wind(state, DerivationKeyPair.generate())  # some other owner's keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_wind_equals_full_exponent(owner_keys, data):
+    value = data.draw(private_operands(owner_keys))
+    state = KeyState(owner_id="alice", version=3, value=value,
+                     owner_n=owner_keys.n, owner_e=owner_keys.e)
+    wound = wind(state, owner_keys)
+    assert wound.value == pow(value, owner_keys.d, owner_keys.n)
+    assert wound.version == 4
+
+
+def test_faulty_crt_exponent_never_winds(owner_keys):
+    faulty = dataclasses.replace(owner_keys)
+    object.__setattr__(faulty, "dp", faulty.dp ^ 2)
+    state = new_state("alice", owner_keys)
+    wound = None
+    with pytest.raises(PrivateKeyFault):
+        wound = wind(state, faulty)
+    assert wound is None
 
 
 def test_unwind_at_version_zero(owner_keys):

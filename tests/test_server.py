@@ -206,6 +206,23 @@ def test_restart_recovers_open_container_tail(tmp_path):
     svc2.close()
 
 
+def test_rotation_after_restart(tmp_path):
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    first = [item(os.urandom(3000)) for _ in range(2)]
+    second = [item(os.urandom(3000)) for _ in range(2)]
+    svc = StorageService(data_root, key_root, container_size=8192)
+    StoreSession(LocalBackend(svc)).put_packages(first)
+    svc.close()
+    svc2 = StorageService(data_root, key_root, container_size=8192)
+    session2 = StoreSession(LocalBackend(svc2))
+    session2.put_packages(second)  # the first of these rotates the resumed container
+    everything = first + second
+    fps = [fp for fp, _ in everything]
+    assert session2.get_packages(fps) == [data for _, data in everything]
+    assert session2.stats().container_count == 2
+    svc2.close()
+
+
 # -- TCP framing --------------------------------------------------------------------------
 
 
