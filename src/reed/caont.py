@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +55,31 @@ def _keystream_xor(key: bytes, data: bytes) -> bytes:
     # directly is exactly data XOR keystream(key).
     enc = Cipher(algorithms.AES(key), modes.CTR(_ZERO_COUNTER)).encryptor()
     return enc.update(data) + enc.finalize()
+
+
+# One chunk-key slot per thread. Under similarity keying a run of chunks
+# shares one segment key, so its keystream is computed once per run instead
+# of once per chunk. A key's first use is a plain CTR pass, as under chunk
+# keying where keys rarely repeat; the slot keeps that pass's input and
+# output, whose XOR is the keystream, and derives it when the key recurs.
+# Every keystream is a prefix of a longer one under the same key, so a slot
+# serves any length up to its own.
+_memo = threading.local()
+
+
+def _chunk_key_xor(key: bytes, data: bytes) -> bytes:
+    """data XOR keystream(key), reusing the thread's last chunk-key keystream."""
+    slot = getattr(_memo, "slot", None)
+    if slot is None or slot[0] != key or len(slot[1]) < len(data):
+        out = _keystream_xor(key, data)
+        _memo.slot = (key, bytes(data), out)  # a copy only if data is mutable
+        return out
+    if len(slot) == 3:
+        stream = np.bitwise_xor(np.frombuffer(slot[1], dtype=np.uint8),
+                                np.frombuffer(slot[2], dtype=np.uint8))
+        slot = _memo.slot = (key, stream)
+    view = np.frombuffer(data, dtype=np.uint8)
+    return np.bitwise_xor(view, slot[1][:len(data)]).tobytes()
 
 
 def mask(key: bytes, length: int) -> bytes:
@@ -98,7 +124,7 @@ def basic_encrypt(chunk: bytes, key: bytes) -> tuple[bytes, bytes]:
         raise ValueError("cannot encrypt an empty chunk")
     if len(key) != KEY_SIZE:
         raise ValueError("chunk key must be 32 bytes")
-    head = _keystream_xor(key, chunk + CANARY)
+    head = _chunk_key_xor(key, chunk + CANARY)
     tail = _xor32(key, hashlib.sha256(head).digest())
     return split_package(head + tail)
 
@@ -110,7 +136,7 @@ def basic_decrypt(trimmed: bytes, stub: bytes) -> bytes:
         raise PackageTooSmall("basic package must be at least 65 bytes")
     head, tail = package[:-TAIL_SIZE], package[-TAIL_SIZE:]
     key = _xor32(hashlib.sha256(head).digest(), tail)
-    plain = _keystream_xor(key, head)
+    plain = _chunk_key_xor(key, head)
     if not hmac.compare_digest(plain[-len(CANARY):], CANARY):
         raise IntegrityViolation("canary mismatch: trimmed package or stub was modified")
     return plain[:-len(CANARY)]
@@ -122,11 +148,11 @@ def mle_encrypt(chunk: bytes, key: bytes) -> bytes:
         raise ValueError("cannot encrypt an empty chunk")
     if len(key) != KEY_SIZE:
         raise ValueError("chunk key must be 32 bytes")
-    return _keystream_xor(key, chunk)
+    return _chunk_key_xor(key, chunk)
 
 
 def mle_decrypt(ciphertext: bytes, key: bytes) -> bytes:
-    return _keystream_xor(key, ciphertext)
+    return _chunk_key_xor(key, ciphertext)
 
 
 def enhanced_encrypt(chunk: bytes, key: bytes) -> tuple[bytes, bytes]:

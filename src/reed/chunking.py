@@ -115,35 +115,49 @@ def fixed_chunk(data: bytes, size: int) -> list[Chunk]:
     return [Chunk(bytes(data[i:i + size])) for i in range(0, len(data), size)]
 
 
+def _scan_dtype(mask: int):
+    """Narrowest unsigned dtype of 16, 32 or 64 bits that holds the mask."""
+    bits = mask.bit_length()
+    if bits <= 16:
+        return np.uint16
+    if bits <= 32:
+        return np.uint32
+    return np.uint64
+
+
 def _boundary_candidates(data: bytes, window: int, mask: int,
-                         block: int = 1 << 20) -> np.ndarray:
+                         block: int = 1 << 16) -> np.ndarray:
     """Cut offsets where the windowed rolling hash matches the mask.
 
     The hash of the window ending at offset c is
         H = sum(data[c-window+j] * POLY**(window-1-j)) mod 2**64
-    computed blockwise via prefix sums scaled by inverse powers of POLY,
-    which keeps the whole scan in vectorized uint64 arithmetic. Buffers and
-    the power tables are allocated once and reused across blocks.
+    computed blockwise via prefix sums scaled by inverse powers of POLY.
+    Only H's low bits under the mask are tested, and the low w bits of
+    sums and products mod 2**64 depend only on the low w bits of their
+    operands, so the scan runs mod 2**w in the narrowest dtype that holds
+    the mask and finds exactly the candidates of the 64-bit hash. Buffers
+    and the power tables are allocated once and reused across blocks.
     """
     n = len(data)
     if n < window:
         return np.empty(0, dtype=np.int64)
-    mask64 = np.uint64(mask)
+    dt = _scan_dtype(mask)
+    modulus = 1 << (8 * np.dtype(dt).itemsize)
+    maskw = dt(mask)
     last = n - window  # last valid window start
     max_k = min(block, last + 1)
     max_m = max_k + window - 1
 
-    qp = np.full(max_m, np.uint64(_POLY_INV))
-    qp[0] = np.uint64(1)
-    np.cumprod(qp, out=qp)  # qp[j] = POLY^-j
-    pw = np.full(max_k, np.uint64(ROLLING_POLY))
-    pw[0] = np.uint64(pow(ROLLING_POLY, window - 1, _M64))
-    np.cumprod(pw, out=pw)  # pw[i] = POLY^(i+window-1)
+    qp = np.full(max_m, dt(_POLY_INV % modulus))
+    qp[0] = 1
+    np.cumprod(qp, dtype=dt, out=qp)  # qp[j] = POLY^-j
+    pw = np.full(max_k, dt(ROLLING_POLY % modulus))
+    pw[0] = pow(ROLLING_POLY, window - 1, modulus)
+    np.cumprod(pw, dtype=dt, out=pw)  # pw[i] = POLY^(i+window-1)
 
-    seg = np.empty(max_m, dtype=np.uint64)
-    prod = np.empty(max_m, dtype=np.uint64)
-    s = np.zeros(max_m + 1, dtype=np.uint64)
-    h = np.empty(max_k, dtype=np.uint64)
+    prod = np.empty(max_m, dtype=dt)
+    s = np.zeros(max_m + 1, dtype=dt)
+    h = np.empty(max_k, dtype=dt)
 
     out = []
     i0 = 0
@@ -151,13 +165,12 @@ def _boundary_candidates(data: bytes, window: int, mask: int,
         k = min(block, last - i0 + 1)
         m = k + window - 1
         raw = np.frombuffer(data, dtype=np.uint8, count=m, offset=i0)
-        np.copyto(seg[:m], raw)
-        np.multiply(seg[:m], qp[:m], out=prod[:m])
-        np.cumsum(prod[:m], out=s[1:m + 1])  # s[0] stays 0
+        np.multiply(raw, qp[:m], out=prod[:m])
+        np.cumsum(prod[:m], dtype=dt, out=s[1:m + 1])  # s[0] stays 0
         np.subtract(s[window:window + k], s[:k], out=h[:k])
         np.multiply(h[:k], pw[:k], out=h[:k])
-        np.bitwise_and(h[:k], mask64, out=h[:k])
-        hits = np.nonzero(h[:k] == mask64)[0]
+        np.bitwise_and(h[:k], maskw, out=h[:k])
+        hits = np.nonzero(h[:k] == maskw)[0]
         if len(hits):
             out.append(hits + (i0 + window))
         i0 += k

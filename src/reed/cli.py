@@ -7,6 +7,7 @@ failure, 5 rate limited, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -39,15 +40,18 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_ERROR
 
 
-def _store_session(cfg: Config) -> StoreSession:
+@contextlib.contextmanager
+def _store_session(cfg: Config):
     host, port = parse_address(cfg.get("client", "server"))
-    return StoreSession(Connection(host, port))
+    with Connection(host, port) as conn:
+        yield StoreSession(conn)
 
 
-def _key_session(cfg: Config) -> KeySession:
+@contextlib.contextmanager
+def _key_session(cfg: Config):
     host, port = parse_address(cfg.get("client", "manager"))
-    return KeySession(Connection(host, port),
-                      batch_cap=cfg.getint("manager", "batch_cap"))
+    with Connection(host, port) as conn:
+        yield KeySession(conn, batch_cap=cfg.getint("manager", "batch_cap"))
 
 
 def _identity(cfg: Config, create_user: str | None = None) -> ClientIdentity:
@@ -108,7 +112,8 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args, cfg: Config) -> int:
     if args.command == "keygen-register":
         identity = _identity(cfg, create_user=args.user)
-        register_identity(_store_session(cfg), identity)
+        with _store_session(cfg) as store:
+            register_identity(store, identity)
         print(f"registered {identity.user_id}")
         return EXIT_OK
 
@@ -121,25 +126,27 @@ def _run(args, cfg: Config) -> int:
             chunk_params = dataclasses.replace(chunk_params, mode="fixed")
         elif args.rabin:
             chunk_params = dataclasses.replace(chunk_params, mode="rabin")
-        file_id = upload(
-            args.path,
-            policy=args.policy.split(","),
-            identity=identity,
-            store=_store_session(cfg),
-            keys=_key_session(cfg),
-            scheme=caont.SCHEME_IDS[scheme_name],
-            keying=keying,
-            chunk_params=chunk_params,
-            seg_params=cfg.segment_params,
-            allow_basic_with_similarity=cfg.getbool(
-                "client", "allow_basic_with_similarity"),
-        )
+        with _store_session(cfg) as store, _key_session(cfg) as keys:
+            file_id = upload(
+                args.path,
+                policy=args.policy.split(","),
+                identity=identity,
+                store=store,
+                keys=keys,
+                scheme=caont.SCHEME_IDS[scheme_name],
+                keying=keying,
+                chunk_params=chunk_params,
+                seg_params=cfg.segment_params,
+                allow_basic_with_similarity=cfg.getbool(
+                    "client", "allow_basic_with_similarity"),
+            )
         print(file_id)
         return EXIT_OK
 
     if args.command == "download":
         identity = _identity(cfg)
-        data = download(args.file_id, identity=identity, store=_store_session(cfg))
+        with _store_session(cfg) as store:
+            data = download(args.file_id, identity=identity, store=store)
         with open(args.output, "wb") as fh:
             fh.write(data)
         print(f"wrote {len(data)} bytes to {args.output}")
@@ -147,14 +154,15 @@ def _run(args, cfg: Config) -> int:
 
     if args.command == "rekey":
         identity = _identity(cfg)
-        version = rekey_file(args.file_id, new_policy=args.policy.split(","),
-                             mode=args.mode, identity=identity,
-                             store=_store_session(cfg))
+        with _store_session(cfg) as store:
+            version = rekey_file(args.file_id, new_policy=args.policy.split(","),
+                                 mode=args.mode, identity=identity, store=store)
         print(f"new key state version {version}")
         return EXIT_OK
 
     if args.command == "stats":
-        stats = _store_session(cfg).stats()
+        with _store_session(cfg) as store:
+            stats = store.stats()
         print(f"logical_bytes\t{stats.logical_bytes}")
         print(f"physical_bytes\t{stats.physical_bytes}")
         print(f"stub_bytes\t{stats.stub_bytes}")

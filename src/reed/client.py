@@ -81,10 +81,6 @@ class StoreSession:
             raise TransportError(f"unexpected response type {resp_type:#x}")
         return body
 
-    def dedup_query(self, fps: list[bytes]) -> list[bool]:
-        body = self._call(wire.MSG_DEDUP_QUERY, wire.encode_fingerprint_list(fps))
-        return wire.decode_bitmap(body, len(fps))
-
     def put_packages(self, items: list[tuple[bytes, bytes]]) -> int:
         body = self._call(wire.MSG_PUT_PACKAGES, wire.encode_package_items(items))
         return wire.Reader(body).u32()

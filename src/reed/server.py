@@ -82,15 +82,27 @@ class ContainerStore:
         return os.path.join(self.root, f"{cid:08d}.bin")
 
     def recover(self, index: FingerprintIndex) -> None:
-        """Resume the highest container; drop any unacknowledged tail."""
+        """Resume after the last indexed byte; drop every unacknowledged tail.
+
+        Bytes the index does not know were never acknowledged. The resumed
+        container is cut back to its last indexed byte, and container files
+        past it (left by a rotation that crashed before its index records
+        were written) are removed, so later appends land at the offsets
+        they record.
+        """
         ends: dict[int, int] = {}
         for _, (cid, off, length) in index.entries():
             ends[cid] = max(ends.get(cid, 0), off + length)
-        if ends:
-            self._open_id = max(ends)
-            self._open_size = ends[self._open_id]
-            path = self._path(self._open_id)
-            if os.path.getsize(path) > self._open_size:
+        self._open_id = max(ends, default=0)
+        self._open_size = ends.get(self._open_id, 0)
+        for name in os.listdir(self.root):
+            stem, ext = os.path.splitext(name)
+            if ext != ".bin" or not stem.isdigit():
+                continue
+            cid, path = int(stem), os.path.join(self.root, name)
+            if cid > self._open_id:
+                os.remove(path)
+            elif cid == self._open_id and os.path.getsize(path) > self._open_size:
                 with open(path, "r+b") as fh:
                     fh.truncate(self._open_size)
 
@@ -275,10 +287,6 @@ class StorageService:
 
     # -- operations --------------------------------------------------------
 
-    def dedup_query(self, fps: list[bytes]) -> list[bool]:
-        with self._lock:
-            return [fp in self.index for fp in fps]
-
     def store_packages(self, items: list[tuple[bytes, bytes]]) -> int:
         """Atomically ingest a batch; duplicates cost no container bytes."""
         for fp, data in items:
@@ -349,9 +357,6 @@ class StorageService:
 
     def _dispatch(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         resp = msg_type | wire.RESP_FLAG
-        if msg_type == wire.MSG_DEDUP_QUERY:
-            fps = wire.decode_fingerprint_list(payload)
-            return resp, wire.encode_bitmap(self.dedup_query(fps))
         if msg_type == wire.MSG_PUT_PACKAGES:
             stored = self.store_packages(wire.decode_package_items(payload))
             return resp, wire.u32(stored)

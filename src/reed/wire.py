@@ -18,7 +18,6 @@ from . import errors
 
 MAX_FRAME = 64 * 1024 * 1024
 
-MSG_DEDUP_QUERY = 0x01
 MSG_PUT_PACKAGES = 0x02
 MSG_GET_PACKAGES = 0x03
 MSG_RECIPE = 0x04
@@ -95,23 +94,34 @@ def raise_for_frame(msg_type: int, payload: bytes) -> None:
 # -- framing -------------------------------------------------------------------
 
 
+_HEADER = struct.Struct(">IB")
+
+
 def write_frame(sock: socket.socket, msg_type: int, payload: bytes) -> None:
-    sock.sendall(struct.pack(">IB", len(payload), msg_type) + payload)
+    header = _HEADER.pack(len(payload), msg_type)
+    sent = sock.sendmsg([header, payload])
+    if sent < len(header):
+        sock.sendall(header[sent:])
+        sent = len(header)
+    if sent < len(header) + len(payload):
+        sock.sendall(memoryview(payload)[sent - len(header):])
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        part = sock.recv(n - len(buf))
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        part = sock.recv_into(view[got:])
         if not part:
             raise ConnectionError("peer closed the connection")
-        buf.extend(part)
-    return bytes(buf)
+        got += part
+    return buf
 
 
-def read_frame(sock: socket.socket) -> tuple[int, bytes]:
-    header = _recv_exact(sock, 5)
-    length, msg_type = struct.unpack(">IB", header)
+def read_frame(sock: socket.socket) -> tuple[int, bytearray]:
+    """Receive one frame; the payload is a fresh buffer owned by the caller."""
+    length, msg_type = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
     if length > MAX_FRAME:
         raise errors.TransportError(f"frame of {length} bytes exceeds limit")
     return msg_type, _recv_exact(sock, length)
@@ -139,10 +149,14 @@ class LocalBackend:
 
 
 class Reader:
-    """Cursor over a payload; raises InvalidOperand on truncation."""
+    """Cursor over a payload; raises InvalidOperand on truncation.
 
-    def __init__(self, data: bytes):
-        self._data = data
+    The payload may be any buffer, such as the bytearray read_frame returns;
+    every value taken from it is a bytes copy, so fingerprints stay hashable.
+    """
+
+    def __init__(self, data: bytes | bytearray):
+        self._data = memoryview(data)
         self._pos = 0
 
     @property
@@ -152,12 +166,12 @@ class Reader:
     def take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
             raise errors.InvalidOperand("truncated payload")
-        out = self._data[self._pos:self._pos + n]
+        out = bytes(self._data[self._pos:self._pos + n])
         self._pos += n
         return out
 
     def rest(self) -> bytes:
-        out = self._data[self._pos:]
+        out = bytes(self._data[self._pos:])
         self._pos = len(self._data)
         return out
 
@@ -206,26 +220,14 @@ def decode_fingerprint_list(payload: bytes) -> list[bytes]:
     return fps
 
 
-def encode_bitmap(bits: list[bool]) -> bytes:
-    # bit i lives in byte i // 8 at position i % 8, least significant first
-    out = bytearray((len(bits) + 7) // 8)
-    for i, b in enumerate(bits):
-        if b:
-            out[i // 8] |= 1 << (i % 8)
-    return bytes(out)
-
-
-def decode_bitmap(payload: bytes, count: int) -> list[bool]:
-    return [bool(payload[i // 8] >> (i % 8) & 1) for i in range(count)]
-
-
 def encode_package_items(items: list[tuple[bytes, bytes]]) -> bytes:
     parts = [u32(len(items))]
     for fp, data in items:
         if len(fp) != 32:
             raise errors.InvalidOperand("fingerprints must be 32 bytes")
         parts.append(fp)
-        parts.append(prefixed(data))
+        parts.append(u32(len(data)))
+        parts.append(data)
     return b"".join(parts)
 
 
@@ -237,7 +239,11 @@ def decode_package_items(payload: bytes) -> list[tuple[bytes, bytes]]:
 
 
 def encode_byte_list(blobs: list[bytes]) -> bytes:
-    return u32(len(blobs)) + b"".join(prefixed(b) for b in blobs)
+    parts = [u32(len(blobs))]
+    for blob in blobs:
+        parts.append(u32(len(blob)))
+        parts.append(blob)
+    return b"".join(parts)
 
 
 def decode_byte_list(payload: bytes) -> list[bytes]:

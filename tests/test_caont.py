@@ -1,5 +1,8 @@
+import hashlib
 import os
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +234,89 @@ def test_scheme_dispatch():
         assert caont.decrypt_chunk(scheme, trimmed, stub) == m
     with pytest.raises(ValueError):
         caont.encrypt_chunk(9, m, k)
+
+
+# -- known answers and the chunk-key keystream memo ---------------------------------------
+
+
+@pytest.mark.parametrize("scheme, digest", [
+    (caont.SCHEME_BASIC,
+     "2a489bc3c30bc7dade52c615a86b332b8cfba98e2eed4461b5729eae25b0f6d4"),
+    (caont.SCHEME_ENHANCED,
+     "1ff2406b915672ababb282822b05ea7d1f6c39e9cba8c64cce7eccd918672289"),
+])
+def test_known_answer_packages(scheme, digest):
+    # Digests recorded from the per-chunk-cipher implementation; key runs
+    # and lengths exercise the memo's hit, miss and growth paths.
+    rng = random.Random(0x5EED_CA0E)
+    keys = [rng.randbytes(32) for _ in range(3)]
+    h = hashlib.sha256()
+    for size, k in [(1, 0), (31, 0), (33, 1), (8192, 1), (5000, 1), (16384, 2), (64, 0)]:
+        trimmed, stub = caont.encrypt_chunk(scheme, rng.randbytes(size), keys[k])
+        h.update(trimmed)
+        h.update(stub)
+    assert h.hexdigest() == digest
+
+
+def basic_reference(chunk: bytes, key: bytes) -> tuple[bytes, bytes]:
+    head = xor(chunk + caont.CANARY, caont.mask(key, len(chunk) + 32))
+    tail = xor(key, hashlib.sha256(head).digest())
+    return head[:-32], head[-32:] + tail
+
+
+def enhanced_reference(chunk: bytes, key: bytes) -> tuple[bytes, bytes]:
+    inner = xor(chunk, caont.mask(key, len(chunk))) + key
+    h = hashlib.sha256(inner).digest()
+    head = xor(inner, caont.mask(h, len(inner)))
+    tail = xor(caont.self_xor(head), h)
+    return head[:-32], head[-32:] + tail
+
+
+REFERENCE = {caont.SCHEME_BASIC: basic_reference,
+             caont.SCHEME_ENHANCED: enhanced_reference}
+
+
+@pytest.mark.parametrize("scheme", [caont.SCHEME_BASIC, caont.SCHEME_ENHANCED])
+@pytest.mark.parametrize("runs", [
+    [("A", 300), ("A", 300), ("B", 300), ("A", 300)],  # keys A, A, B, A
+    [("A", 100), ("A", 4000), ("A", 4000), ("A", 50)],  # a short then longer chunk
+])
+def test_memo_matches_reference(scheme, runs):
+    keys = {"A": os.urandom(32), "B": os.urandom(32)}
+    for name, length in runs:
+        chunk = os.urandom(length)
+        package = caont.encrypt_chunk(scheme, chunk, keys[name])
+        assert package == REFERENCE[scheme](chunk, keys[name])
+        assert caont.decrypt_chunk(scheme, *package) == chunk
+        assert caont.mle_encrypt(chunk, keys[name]) == \
+            xor(chunk, caont.mask(keys[name], length))
+
+
+@pytest.mark.parametrize("scheme", [caont.SCHEME_BASIC, caont.SCHEME_ENHANCED])
+def test_memo_threads_match_serial_run(scheme):
+    rng = random.Random(scheme)
+    jobs = []
+    for _ in range(2):
+        key = rng.randbytes(32)
+        jobs.append([(rng.randbytes(rng.randint(1, 3000)), key) for _ in range(1000)])
+    serial = [[caont.encrypt_chunk(scheme, c, k) for c, k in job] for job in jobs]
+    results: list = [None, None]
+
+    def work(i):
+        results[i] = [caont.encrypt_chunk(scheme, c, k) for c, k in jobs[i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
 
 
 # -- stub files ---------------------------------------------------------------------------

@@ -122,6 +122,18 @@ def test_rabin_candidates_match_oracle():
         oracle_candidates(data, mask)
 
 
+@pytest.mark.parametrize("block", [997, 1 << 16, 1 << 20])
+@pytest.mark.parametrize("bits", [1, 13, 16, 17, 32, 33, 40])
+def test_rabin_candidates_match_oracle_at_width_edges(bits, block):
+    # The scan runs in the narrowest of 16, 32 and 64 bits that holds the
+    # mask; a mask of the top bit plus a few low bits hits often enough to
+    # test that width's highest bit on random data.
+    mask = (1 << (bits - 1)) | (0b111 if bits > 4 else 0)
+    data = random.Random(bits).randbytes(150_000)
+    assert _boundary_candidates(data, ROLLING_WINDOW, mask, block=block).tolist() == \
+        oracle_candidates(data, mask)
+
+
 def test_rabin_blocking_does_not_change_boundaries():
     rng = random.Random(18)
     data = rng.randbytes(100_000)

@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import json
 import os
 import random
+import sys
+import warnings
 
 import pytest
 
@@ -264,23 +267,24 @@ def test_no_key_material_on_the_wire(ready, identities, tmp_path):
             captured.append(payload)
             return super().request(msg_type, payload)
 
-    store = StoreSession(RecordingConnection(*ready.store_server.address))
-    keys = KeySession(RecordingConnection(*ready.manager_server.address))
+    with RecordingConnection(*ready.store_server.address) as store_conn, \
+            RecordingConnection(*ready.manager_server.address) as key_conn:
+        store, keys = StoreSession(store_conn), KeySession(key_conn)
 
-    seen_keys: list[bytes] = []
-    original = keys.keys_for_fingerprints
+        seen_keys: list[bytes] = []
+        original = keys.keys_for_fingerprints
 
-    def spy(fps):
-        out = original(fps)
-        seen_keys.extend(out)
-        return out
+        def spy(fps):
+            out = original(fps)
+            seen_keys.extend(out)
+            return out
 
-    keys.keys_for_fingerprints = spy
+        keys.keys_for_fingerprints = spy
 
-    data = random.Random(9).randbytes(400_000)
-    path = write_file(tmp_path, "f.bin", data)
-    fid = upload(path, policy=["alice"], identity=identities["alice"],
-                 store=store, keys=keys)
+        data = random.Random(9).randbytes(400_000)
+        path = write_file(tmp_path, "f.bin", data)
+        fid = upload(path, policy=["alice"], identity=identities["alice"],
+                     store=store, keys=keys)
 
     _, wrapped = ready.store_session().get_state(fid)
     state = unwrap_state(wrapped, identities["alice"].access_key, "alice")
@@ -338,6 +342,26 @@ def test_cli_end_to_end(ready, tmp_path, capsys):
                      "--user", "outsider"]) == 0
     assert cli.main(["--config", outsider_cfg, "download", fid,
                      "-o", out_path]) == 2
+
+
+def test_cli_commands_close_their_sockets(ready, tmp_path, capsys, monkeypatch):
+    # a socket left to the garbage collector raises its ResourceWarning
+    # inside __del__, which reports it to sys.unraisablehook
+    unclosed = []
+    monkeypatch.setattr(sys, "unraisablehook", unclosed.append)
+    cfg = make_config(tmp_path, ready, "closer")
+    path = write_file(tmp_path, "closer.bin", random.Random(12).randbytes(50_000))
+    out_path = os.path.join(str(tmp_path), "closer.out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert cli.main(["--config", cfg, "keygen-register", "--user", "closer"]) == 0
+        assert cli.main(["--config", cfg, "upload", path, "--policy", "closer"]) == 0
+        fid = capsys.readouterr().out.strip().splitlines()[-1]
+        assert cli.main(["--config", cfg, "download", fid, "-o", out_path]) == 0
+        assert cli.main(["--config", cfg, "rekey", fid, "--policy", "closer"]) == 0
+        assert cli.main(["--config", cfg, "stats"]) == 0
+        gc.collect()
+    assert [str(u.exc_value) for u in unclosed] == []
 
 
 def test_cli_integrity_exit_code(ready, tmp_path, capsys):

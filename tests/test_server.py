@@ -1,6 +1,9 @@
 import hashlib
 import os
 import random
+import socket
+import struct
+import threading
 
 import pytest
 
@@ -70,25 +73,18 @@ def test_duplicates_within_one_batch(session):
     assert session.stats().physical_bytes == len(data)
 
 
-def test_fingerprint_mismatch_rejects_batch(session):
+def test_fingerprint_mismatch_rejects_batch(service, session):
     good = item(os.urandom(100))
     bad = (bytes(32), os.urandom(100))
     with pytest.raises(FingerprintMismatch):
         session.put_packages([good, bad])
     assert session.stats().physical_bytes == 0
-    assert not session.dedup_query([good[0]])[0]
+    assert good[0] not in service.index
 
 
 def test_unknown_fingerprint_not_found(session):
     with pytest.raises(NotFound):
         session.get_packages([os.urandom(32)])
-
-
-def test_dedup_query_bitmap(session):
-    items = [item(os.urandom(64)) for _ in range(3)]
-    session.put_packages(items[:2])
-    fps = [items[0][0], os.urandom(32), items[1][0], items[2][0], items[0][0]]
-    assert session.dedup_query(fps) == [True, False, True, False, True]
 
 
 def test_container_rotation_at_capacity(service, session, tmp_path):
@@ -171,7 +167,7 @@ def test_restart_preserves_acknowledged_writes(tmp_path):
 
     svc2 = StorageService(data_root, key_root)
     session2 = StoreSession(LocalBackend(svc2))
-    assert session2.dedup_query([fp for fp, _ in items]) == [True] * 40
+    assert all(fp in svc2.index for fp, _ in items)
     assert session2.get_packages([items[3][0]]) == [items[3][1]]
     assert session2.get_recipe("f") == b"recipe"
     after = session2.stats()
@@ -223,6 +219,41 @@ def test_rotation_after_restart(tmp_path):
     svc2.close()
 
 
+def test_restart_with_empty_index_drops_stray_container_bytes(tmp_path):
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    container = os.path.join(data_root, "containers", "00000000.bin")
+    os.makedirs(os.path.dirname(container))
+    with open(container, "wb") as fh:  # a crash before the first index record
+        fh.write(os.urandom(1000))
+    svc = StorageService(data_root, key_root)
+    session = StoreSession(LocalBackend(svc))
+    fresh = [item(os.urandom(700)) for _ in range(2)]
+    session.put_packages(fresh)
+    assert session.get_packages([fp for fp, _ in fresh]) == [d for _, d in fresh]
+    assert os.path.getsize(container) == 1400
+    svc.close()
+
+
+def test_restart_removes_container_left_by_rotation(tmp_path):
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    first = [item(os.urandom(3000)) for _ in range(2)]
+    second = [item(os.urandom(3000)) for _ in range(2)]
+    svc = StorageService(data_root, key_root, container_size=8192)
+    StoreSession(LocalBackend(svc)).put_packages(first)
+    svc.close()
+    # a rotation created container 1 and crashed before its index records
+    with open(os.path.join(data_root, "containers", "00000001.bin"), "wb") as fh:
+        fh.write(os.urandom(1000))
+    svc2 = StorageService(data_root, key_root, container_size=8192)
+    session2 = StoreSession(LocalBackend(svc2))
+    session2.put_packages(second)
+    everything = first + second
+    fps = [fp for fp, _ in everything]
+    assert session2.get_packages(fps) == [data for _, data in everything]
+    assert session2.stats().container_count == 2
+    svc2.close()
+
+
 # -- TCP framing --------------------------------------------------------------------------
 
 
@@ -230,20 +261,55 @@ def test_wire_round_trip_over_tcp(tmp_path):
     svc = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
     server = FrameServer(svc).start()
     try:
-        session = StoreSession(Connection(*server.address))
-        items = [item(os.urandom(1000)) for _ in range(3)]
-        session.put_packages(items)
-        assert session.get_packages([fp for fp, _ in items]) == \
-            [d for _, d in items]
-        session.put_user_key("alice", b"pem bytes")
-        assert session.get_user_key("alice") == b"pem bytes"
-        stats = session.stats()
-        assert stats.physical_bytes == 3000
-        with pytest.raises(NotFound):
-            session.get_recipe("missing")
+        with Connection(*server.address) as conn:
+            session = StoreSession(conn)
+            items = [item(os.urandom(1000)) for _ in range(3)]
+            session.put_packages(items)
+            assert session.get_packages([fp for fp, _ in items]) == \
+                [d for _, d in items]
+            session.put_user_key("alice", b"pem bytes")
+            assert session.get_user_key("alice") == b"pem bytes"
+            stats = session.stats()
+            assert stats.physical_bytes == 3000
+            with pytest.raises(NotFound):
+                session.get_recipe("missing")
     finally:
         server.stop()
         svc.close()
+
+
+@pytest.mark.parametrize("size", [0, 1, 8 << 20])
+def test_frame_round_trip_over_socketpair(size):
+    payload = random.Random(size).randbytes(size)
+    a, b = socket.socketpair()
+    with a, b:
+        # with a timeout the socket is non-blocking underneath, so an 8 MiB
+        # frame goes out and comes in over several partial calls
+        a.settimeout(30)
+        b.settimeout(30)
+        writer = threading.Thread(target=wire.write_frame, args=(a, 0x42, payload))
+        writer.start()
+        got_type, got = wire.read_frame(b)
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert got_type == 0x42 and got == payload
+
+
+@pytest.mark.parametrize("sent", [b"\x00\x00", struct.pack(">IB", 100, 0x42) + bytes(40)])
+def test_peer_closing_mid_frame_raises_connection_error(sent):
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(sent)
+        a.close()
+        with pytest.raises(ConnectionError):
+            wire.read_frame(b)
+
+
+def test_fingerprints_decoded_from_a_received_buffer_are_bytes():
+    fps = [os.urandom(32) for _ in range(3)]
+    got = wire.decode_fingerprint_list(bytearray(wire.encode_fingerprint_list(fps)))
+    assert all(type(fp) is bytes for fp in got)
+    assert set(got) == set(fps)
 
 
 def test_unknown_message_type_is_rejected(service):
@@ -255,13 +321,8 @@ def test_unknown_message_type_is_rejected(service):
 
 def test_malformed_payload_is_rejected(service):
     backend = LocalBackend(service)
-    msg_type, payload = backend.request(wire.MSG_DEDUP_QUERY, b"\xff\xff")
+    msg_type, payload = backend.request(wire.MSG_GET_PACKAGES, b"\xff\xff")
     assert msg_type == wire.MSG_ERROR
-
-
-def test_bitmap_codec_round_trip():
-    bits = [True, False, True, True, False, False, False, True, True, False]
-    assert wire.decode_bitmap(wire.encode_bitmap(bits), len(bits)) == bits
 
 
 def test_error_frame_codec():
