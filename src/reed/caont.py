@@ -47,13 +47,14 @@ SCHEME_ENHANCED = 1
 SCHEME_NAMES = {SCHEME_BASIC: "basic", SCHEME_ENHANCED: "enhanced"}
 SCHEME_IDS = {v: k for k, v in SCHEME_NAMES.items()}
 
-_ZERO_COUNTER = bytes(16)
+# A mode object only holds its nonce, so every cipher shares this one.
+_ZERO_CTR = modes.CTR(bytes(16))
 
 
 def _keystream_xor(key: bytes, data: bytes) -> bytes:
     # AES-256 in counter mode over a zero initial counter; encrypting data
     # directly is exactly data XOR keystream(key).
-    enc = Cipher(algorithms.AES(key), modes.CTR(_ZERO_COUNTER)).encryptor()
+    enc = Cipher(algorithms.AES(key), _ZERO_CTR).encryptor()
     return enc.update(data) + enc.finalize()
 
 

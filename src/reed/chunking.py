@@ -22,10 +22,7 @@ Fingerprint = bytes  # 32-byte SHA-256 digest
 # on these for cross-client deduplication; bump CHUNKING_VERSION on change.
 CHUNKING_VERSION = 1
 ROLLING_WINDOW = 48
-ROLLING_POLY = 0x9E3779B97F4A7C15  # odd, so invertible mod 2**64
-
-_M64 = 1 << 64
-_POLY_INV = pow(ROLLING_POLY, -1, _M64)
+ROLLING_POLY = 0x9E3779B97F4A7C15
 
 
 @dataclass(frozen=True)
@@ -131,12 +128,17 @@ def _boundary_candidates(data: bytes, window: int, mask: int,
 
     The hash of the window ending at offset c is
         H = sum(data[c-window+j] * POLY**(window-1-j)) mod 2**64
-    computed blockwise via prefix sums scaled by inverse powers of POLY.
+    Let W_s(i) be that hash over the s bytes starting at i. Two adjacent
+    windows compose as W_{a+b}(i) = W_a(i) * POLY**b + W_b(i+a), so
+    W_2s(i) = W_s(i) * POLY**s + W_s(i+s) doubles a window in one vectorised
+    multiply-add, and the full window is composed from the doublings that
+    its binary digits name: 48 = 32 + 16 gives
+        H(i) = W_32(i) * POLY**16 + W_16(i+32).
     Only H's low bits under the mask are tested, and the low w bits of
     sums and products mod 2**64 depend only on the low w bits of their
     operands, so the scan runs mod 2**w in the narrowest dtype that holds
-    the mask and finds exactly the candidates of the 64-bit hash. Buffers
-    and the power tables are allocated once and reused across blocks.
+    the mask and finds exactly the candidates of the 64-bit hash. Blocks
+    of window starts are scanned in three buffers allocated once.
     """
     n = len(data)
     if n < window:
@@ -145,32 +147,44 @@ def _boundary_candidates(data: bytes, window: int, mask: int,
     modulus = 1 << (8 * np.dtype(dt).itemsize)
     maskw = dt(mask)
     last = n - window  # last valid window start
-    max_k = min(block, last + 1)
-    max_m = max_k + window - 1
-
-    qp = np.full(max_m, dt(_POLY_INV % modulus))
-    qp[0] = 1
-    np.cumprod(qp, dtype=dt, out=qp)  # qp[j] = POLY^-j
-    pw = np.full(max_k, dt(ROLLING_POLY % modulus))
-    pw[0] = pow(ROLLING_POLY, window - 1, modulus)
-    np.cumprod(pw, dtype=dt, out=pw)  # pw[i] = POLY^(i+window-1)
-
-    prod = np.empty(max_m, dtype=dt)
-    s = np.zeros(max_m + 1, dtype=dt)
-    h = np.empty(max_k, dtype=dt)
+    max_m = min(block, last + 1) + window - 1
+    power = {e: dt(pow(ROLLING_POLY, e, modulus)) for e in range(window + 1)}
+    pool = [np.empty(max_m, dtype=dt) for _ in range(3)]
 
     out = []
     i0 = 0
     while i0 <= last:
         k = min(block, last - i0 + 1)
         m = k + window - 1
-        raw = np.frombuffer(data, dtype=np.uint8, count=m, offset=i0)
-        np.multiply(raw, qp[:m], out=prod[:m])
-        np.cumsum(prod[:m], dtype=dt, out=s[1:m + 1])  # s[0] stays 0
-        np.subtract(s[window:window + k], s[:k], out=h[:k])
-        np.multiply(h[:k], pw[:k], out=h[:k])
-        np.bitwise_and(h[:k], maskw, out=h[:k])
-        hits = np.nonzero(h[:k] == maskw)[0]
+        raw = cur = np.frombuffer(data, dtype=np.uint8, count=m, offset=i0)
+        spare = list(pool)
+        acc = None  # W_r over the m - r + 1 starts, r the window bits seen
+        r, s = 0, 1  # cur holds W_s over m - s + 1 starts
+        while True:
+            if window & s:
+                if acc is None:
+                    acc = cur
+                else:
+                    nxt = spare.pop()
+                    count = m - s - r + 1
+                    np.multiply(cur[:count], power[r], out=nxt[:count], dtype=dt)
+                    np.add(nxt[:count], acc[s:s + count], out=nxt[:count], dtype=dt)
+                    if acc is not raw:
+                        spare.append(acc)
+                    acc = nxt
+                r += s
+            if 2 * s > window:
+                break
+            nxt = spare.pop()
+            count = m - 2 * s + 1
+            np.multiply(cur[:count], power[s], out=nxt[:count], dtype=dt)
+            np.add(nxt[:count], cur[s:s + count], out=nxt[:count], dtype=dt)
+            if cur is not raw and cur is not acc:
+                spare.append(cur)
+            cur, s = nxt, 2 * s
+        h = spare[-1][:k]
+        np.bitwise_and(acc[:k], maskw, out=h, dtype=dt)
+        hits = np.flatnonzero(h == maskw)
         if len(hits):
             out.append(hits + (i0 + window))
         i0 += k
@@ -188,28 +202,20 @@ def rabin_chunk(data: bytes, params: ChunkingParams) -> list[Chunk]:
     n = len(data)
     if n == 0:
         return []
-    candidates = _boundary_candidates(data, params.window, params.boundary_mask)
-    cuts = []
-    start = 0
+    candidates = _boundary_candidates(data, params.window,
+                                      params.boundary_mask).tolist()
+    view = memoryview(data)
+    chunks = []
+    start = j = 0
     while start < n:
         lo = start + params.min_size
-        hi = start + params.max_size
-        idx = np.searchsorted(candidates, lo)
-        cut = int(candidates[idx]) if idx < len(candidates) else None
-        if cut is not None and cut <= min(hi, n):
-            cuts.append(cut)
-            start = cut
-        elif hi < n:
-            cuts.append(hi)
-            start = hi
-        else:
-            cuts.append(n)
-            start = n
-    chunks = []
-    prev = 0
-    for c in cuts:
-        chunks.append(Chunk(bytes(data[prev:c])))
-        prev = c
+        hi = min(start + params.max_size, n)
+        while j < len(candidates) and candidates[j] < lo:
+            j += 1
+        # candidates never pass n, so a cut at hi == n is the end of data
+        cut = candidates[j] if j < len(candidates) and candidates[j] <= hi else hi
+        chunks.append(Chunk(bytes(view[start:cut])))
+        start = cut
     return chunks
 
 

@@ -11,9 +11,10 @@ import contextlib
 import dataclasses
 import os
 import sys
+import tempfile
 
 from . import caont, errors, traceharness
-from .client import (ClientIdentity, Connection, StoreSession, download,
+from .client import (ClientIdentity, Connection, StoreSession, download_to,
                      register_identity, rekey_file, upload)
 from .config import Config, parse_address, parse_size
 from .keygen import KeyManagerService, KeySession, ManagerKeyPair
@@ -52,6 +53,12 @@ def _key_session(cfg: Config):
     host, port = parse_address(cfg.get("client", "manager"))
     with Connection(host, port) as conn:
         yield KeySession(conn, batch_cap=cfg.getint("manager", "batch_cap"))
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def _identity(cfg: Config, create_user: str | None = None) -> ClientIdentity:
@@ -145,11 +152,22 @@ def _run(args, cfg: Config) -> int:
 
     if args.command == "download":
         identity = _identity(cfg)
-        with _store_session(cfg) as store:
-            data = download(args.file_id, identity=identity, store=store)
-        with open(args.output, "wb") as fh:
-            fh.write(data)
-        print(f"wrote {len(data)} bytes to {args.output}")
+        target = os.path.abspath(args.output)
+        # Written beside the target and renamed over it only once every chunk
+        # and the size check pass, so a failed download leaves it untouched.
+        fd, part = tempfile.mkstemp(dir=os.path.dirname(target),
+                                    prefix=f".{os.path.basename(target)}.", suffix=".part")
+        try:
+            with os.fdopen(fd, "wb") as fh, _store_session(cfg) as store:
+                size = download_to(args.file_id, fh, identity=identity, store=store)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.chmod(part, 0o666 & ~_umask())
+            os.replace(part, target)
+        except BaseException:
+            os.unlink(part)
+            raise
+        print(f"wrote {size} bytes to {args.output}")
         return EXIT_OK
 
     if args.command == "rekey":

@@ -10,11 +10,13 @@ file's policy. Chunk keys and file keys never appear in any message.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import socket
 import threading
 from dataclasses import dataclass, field
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import rsa
@@ -235,21 +237,114 @@ class Recipe:
 
 
 # -- pipelines ----------------------------------------------------------------------
+#
+# An upload is one pass of generator stages, each pulling from the last:
+# read the file in TRANSFER_BATCH blocks, chunk each block, segment and key
+# the chunks, transform each chunk into a package, and ship the packages in
+# TRANSFER_BATCH batches. Memory is bounded by a few blocks, one open
+# segment and one batch; only a recipe entry and a 64-byte stub per chunk
+# grow with the file.
 
 
-def _chunk_keys(chunks: list[Chunk], fps: list[bytes], keying: str,
-                keys: KeySession, seg_params: SegmentationParams):
-    """Returns (per-chunk key list, per-chunk segment index list)."""
-    if keying == KEYING_CHUNK:
-        return keys.keys_for_fingerprints(fps), list(range(len(chunks)))
-    segments = segment(list(zip(chunks, fps)), seg_params)
-    seg_keys = keys.segment_keys(segments)
-    per_chunk = []
-    seg_idx = []
-    for i, seg in enumerate(segments):
-        per_chunk.extend([seg_keys[i]] * len(seg.chunks))
-        seg_idx.extend([i] * len(seg.chunks))
-    return per_chunk, seg_idx
+def _batches(items: Iterable, size: Callable[[object], int]) -> Iterator[list]:
+    """Consecutive runs of items of at most TRANSFER_BATCH bytes; an item
+    larger than that travels alone."""
+    batch: list = []
+    total = 0
+    for item in items:
+        n = size(item)
+        if batch and total + n > TRANSFER_BATCH:
+            yield batch
+            batch, total = [], 0
+        batch.append(item)
+        total += n
+    if batch:
+        yield batch
+
+
+def _read_blocks(fh: BinaryIO, size: int = TRANSFER_BATCH
+                 ) -> Iterator[tuple[bytes, bool]]:
+    """(block, is last block) pairs; a short read marks the end of the file."""
+    while True:
+        block = fh.read(size)
+        last = len(block) < size
+        yield block, last
+        if last:
+            return
+
+
+def _chunk_blocks(blocks: Iterable[tuple[bytes, bool]], params: ChunkingParams
+                  ) -> Iterator[tuple[list[Chunk], bool]]:
+    """The chunks each block completes, cut exactly as one pass over the file.
+
+    A block's last chunk was cut by the block's end, not by its content, so
+    it is carried and cut again with the next block. Every other cut is the
+    one-shot chunker's: it is the first candidate at or after start +
+    min_size, or start + max_size, and a candidate there depends only on
+    bytes after start.
+    """
+    carry = b""
+    for block, last in blocks:
+        chunks = chunk_stream(carry + block, params)
+        carry = b""
+        if chunks and not last:
+            carry = chunks.pop().data
+        yield chunks, last
+
+
+def _keyed_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], keying: str,
+                  keys: KeySession, seg_params: SegmentationParams
+                  ) -> Iterator[tuple[Chunk, bytes, int]]:
+    """(chunk, key, segment index) in file order, with one key request per block.
+
+    Under similarity keying a block's chunks are segmented after the chunks
+    of the still-open segment. Every segment but the last is sealed, since
+    segment boundaries depend only on the chunks since the last boundary;
+    the last stays open for the next block. Under chunk keying every chunk
+    is its own segment.
+    """
+    open_pairs: list = []
+    index = 0
+    for chunks, last in chunk_blocks:
+        pairs = open_pairs + [(c, fingerprint(c)) for c in chunks]
+        if not pairs:
+            continue
+        if keying == KEYING_CHUNK:
+            chunk_keys = keys.keys_for_fingerprints([fp for _, fp in pairs])
+            for (chunk, _), key in zip(pairs, chunk_keys):
+                yield chunk, key, index
+                index += 1
+            continue
+        segments = segment(pairs, seg_params)
+        open_pairs = [] if last else segments.pop().chunks
+        if not segments:
+            continue
+        for seg, key in zip(segments, keys.segment_keys(segments)):
+            for chunk, _ in seg.chunks:
+                yield chunk, key, index
+            index += 1
+
+
+def store_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], *,
+                 keying: str, keys: KeySession, seg_params: SegmentationParams,
+                 scheme: int, store: StoreSession) -> tuple[list, list[bytes]]:
+    """Key, transform and ship chunks given per block, each block flagged
+    whether it is the last; returns (recipe entries, stubs) in chunk order."""
+    entries: list = []
+    stubs: list[bytes] = []
+
+    def packages():
+        for chunk, key, index in _keyed_chunks(chunk_blocks, keying, keys, seg_params):
+            # CAONT holds the interpreter lock, so a thread pool here only adds cost.
+            trimmed, stub = caont.encrypt_chunk(scheme, chunk.data, key)
+            fp = hashlib.sha256(trimmed).digest()
+            entries.append((fp, chunk.length, index))
+            stubs.append(stub)
+            yield fp, trimmed
+
+    for batch in _batches(packages(), lambda item: len(item[1])):
+        store.put_packages(batch)
+    return entries, stubs
 
 
 def upload(path: str, *, policy: list[str], identity: ClientIdentity,
@@ -273,21 +368,6 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
         avg_chunk_size=chunk_params.avg_size if chunk_params.mode == "rabin"
         else chunk_params.fixed_size)
 
-    with open(path, "rb") as fh:
-        data = fh.read()
-    file_id = file_id_for(identity.user_id, path)
-    chunks = chunk_stream(data, chunk_params)
-    fps = [fingerprint(c) for c in chunks]
-
-    if chunks:
-        per_chunk_keys, seg_idx = _chunk_keys(chunks, fps, keying, keys, seg_params)
-    else:
-        per_chunk_keys, seg_idx = [], []
-
-    # CAONT holds the interpreter lock, so a thread pool here only adds cost.
-    packages = [caont.encrypt_chunk(scheme, chunk.data, key)
-                for chunk, key in zip(chunks, per_chunk_keys)]
-
     directory = {}
     for uid in members:
         try:
@@ -295,34 +375,28 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
         except NotFound:
             raise UnknownUser(f"no registered public access key for {uid!r}") from None
 
+    file_id = file_id_for(identity.user_id, path)
+    with open(path, "rb") as fh:
+        entries, stubs = store_chunks(
+            _chunk_blocks(_read_blocks(fh), chunk_params), keying=keying,
+            keys=keys, seg_params=seg_params, scheme=scheme, store=store)
+
     state = new_state(identity.user_id, identity.derivation)
-    file_key = derive_file_key(state)
-    stub_blob = caont.encrypt_stub_file([stub for _, stub in packages], file_key)
+    stub_blob = caont.encrypt_stub_file(stubs, derive_file_key(state))
     wrapped = wrap_state(state, members, directory)
-
-    recipe = Recipe(file_id=file_id, pathname=path, size=len(data), scheme=scheme,
-                    keying=keying, state_version=state.version)
-    batch: list[tuple[bytes, bytes]] = []
-    batch_bytes = 0
-    for (trimmed, _), chunk, idx in zip(packages, chunks, seg_idx):
-        fp = hashlib.sha256(trimmed).digest()
-        recipe.entries.append((fp, chunk.length, idx))
-        if batch and batch_bytes + len(trimmed) > TRANSFER_BATCH:
-            store.put_packages(batch)
-            batch, batch_bytes = [], 0
-        batch.append((fp, trimmed))
-        batch_bytes += len(trimmed)
-    if batch:
-        store.put_packages(batch)
-
+    recipe = Recipe(file_id=file_id, pathname=path,
+                    size=sum(length for _, length, _ in entries), scheme=scheme,
+                    keying=keying, state_version=state.version, entries=entries)
     store.put_recipe(file_id, recipe.encode())
     store.put_stub(file_id, state.version, stub_blob)
     store.put_state(file_id, state.version, wrapped)
     return file_id
 
 
-def download(file_id: str, *, identity: ClientIdentity, store: StoreSession) -> bytes:
-    """Fetch, verify, and reassemble a file; aborts on any tampered chunk."""
+def download_to(file_id: str, sink: BinaryIO, *, identity: ClientIdentity,
+                store: StoreSession) -> int:
+    """Fetch, verify and write a file to sink one batch at a time; returns
+    its size. Aborts on any tampered chunk, after writing the chunks before it."""
     recipe = Recipe.decode(store.get_recipe(file_id))
     state_version, wrapped = store.get_state(file_id)
     state = unwrap_state(wrapped, identity.access_key, identity.user_id)
@@ -335,23 +409,27 @@ def download(file_id: str, *, identity: ClientIdentity, store: StoreSession) -> 
     if len(stubs) != recipe.chunk_count:
         raise IntegrityViolation("stub count does not match the recipe")
 
-    trimmed: list[bytes] = []
-    batch: list[bytes] = []
-    batch_bytes = 0
-    for fp, length, _ in recipe.entries:
-        if batch and batch_bytes + length > TRANSFER_BATCH:
-            trimmed.extend(store.get_packages(batch))
-            batch, batch_bytes = [], 0
-        batch.append(fp)
-        batch_bytes += length
-    if batch:
-        trimmed.extend(store.get_packages(batch))
-
-    data = b"".join(caont.decrypt_chunk(recipe.scheme, t, s)
-                    for t, s in zip(trimmed, stubs))
-    if len(data) != recipe.size:
+    written = 0
+    done = 0
+    for batch in _batches(recipe.entries, lambda entry: entry[1]):
+        # the batch's packages are dropped before the next batch is fetched
+        packages = store.get_packages([fp for fp, _, _ in batch])
+        for package, stub in zip(packages, stubs[done:done + len(batch)]):
+            plain = caont.decrypt_chunk(recipe.scheme, package, stub)
+            sink.write(plain)
+            written += len(plain)
+        done += len(batch)
+        del packages
+    if written != recipe.size:
         raise IntegrityViolation("reassembled size does not match the recipe")
-    return data
+    return written
+
+
+def download(file_id: str, *, identity: ClientIdentity, store: StoreSession) -> bytes:
+    """Fetch, verify, and reassemble a file; aborts on any tampered chunk."""
+    buf = io.BytesIO()
+    download_to(file_id, buf, identity=identity, store=store)
+    return buf.getvalue()
 
 
 def rekey_file(file_id: str, *, new_policy: list[str], mode: str,

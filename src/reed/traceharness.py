@@ -20,16 +20,16 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import caont
-from .chunking import Chunk, SegmentationParams, fingerprint, segment
-from .client import StoreSession
+from .chunking import Chunk, SegmentationParams
+from .client import KEYING_CHUNK, KEYING_SIMILARITY, StoreSession, store_chunks
 from .errors import TraceParseError
 from .keygen import KeyManagerService, KeySession, ManagerKeyPair
 from .rekeying import DerivationKeyPair, derive_file_key, new_state
 from .server import StorageService
 from .wire import LocalBackend
 
-MODE_CHUNK = "chunk"
-MODE_SIMILARITY = "similarity"
+MODE_CHUNK = KEYING_CHUNK
+MODE_SIMILARITY = KEYING_SIMILARITY
 MAX_RECORD_SIZE = 65536
 
 
@@ -165,7 +165,8 @@ def generate_trace(seed: int, snapshots: int, chunks_per_snapshot: int,
 def replay(snapshots: list[list[TraceRecord]], mode: str,
            avg_segment_size: int = 1_048_576, avg_chunk_size: int = 8192,
            workdir: str | None = None) -> SavingsReport:
-    """Feed every snapshot through keying, encryption, and storage.
+    """Feed every snapshot through the upload pipeline's key, transform and
+    ship stage (``client.store_chunks``), entering with synthesized chunks.
 
     Runs single-threaded against an in-process server so the report is a
     pure function of the trace and the parameters. Rows carry cumulative
@@ -187,32 +188,9 @@ def replay(snapshots: list[list[TraceRecord]], mode: str,
     try:
         for snap_idx, records in enumerate(snapshots):
             chunks = [Chunk(synthesize_chunk(r.fp_hex, r.size)) for r in records]
-            fps = [fingerprint(c) for c in chunks]
-            if not chunks:
-                per_chunk_keys = []
-            elif mode == MODE_CHUNK:
-                per_chunk_keys = keys.keys_for_fingerprints(fps)
-            else:
-                segments = segment(list(zip(chunks, fps)), seg_params)
-                seg_keys = keys.segment_keys(segments)
-                per_chunk_keys = []
-                for seg_key, seg_obj in zip(seg_keys, segments):
-                    per_chunk_keys.extend([seg_key] * len(seg_obj.chunks))
-
-            stubs = []
-            batch: list[tuple[bytes, bytes]] = []
-            batch_bytes = 0
-            for chunk, key in zip(chunks, per_chunk_keys):
-                trimmed, stub = caont.enhanced_encrypt(chunk.data, key)
-                stubs.append(stub)
-                fp = fingerprint(trimmed)
-                if batch and batch_bytes + len(trimmed) > 4 * 1024 * 1024:
-                    store.put_packages(batch)
-                    batch, batch_bytes = [], 0
-                batch.append((fp, trimmed))
-                batch_bytes += len(trimmed)
-            if batch:
-                store.put_packages(batch)
+            _, stubs = store_chunks([(chunks, True)], keying=mode, keys=keys,
+                                    seg_params=seg_params,
+                                    scheme=caont.SCHEME_ENHANCED, store=store)
 
             state = new_state("trace", owner_keys)
             stub_blob = caont.encrypt_stub_file(stubs, derive_file_key(state))

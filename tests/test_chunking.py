@@ -10,16 +10,16 @@ from reed.chunking import (Chunk, ChunkingParams, ROLLING_POLY, ROLLING_WINDOW,
 _M64 = 1 << 64
 
 
-def oracle_candidates(data: bytes, mask: int) -> list[int]:
+def oracle_candidates(data: bytes, mask: int, window: int = ROLLING_WINDOW) -> list[int]:
     """Independent per-byte rolling implementation of the window hash."""
     out = []
     h = 0
-    drop = pow(ROLLING_POLY, ROLLING_WINDOW, _M64)
+    drop = pow(ROLLING_POLY, window, _M64)
     for i, b in enumerate(data):
         h = (h * ROLLING_POLY + b) % _M64
-        if i >= ROLLING_WINDOW:
-            h = (h - data[i - ROLLING_WINDOW] * drop) % _M64
-        if i >= ROLLING_WINDOW - 1 and (h & mask) == mask:
+        if i >= window:
+            h = (h - data[i - window] * drop) % _M64
+        if i >= window - 1 and (h & mask) == mask:
             out.append(i + 1)
     return out
 
@@ -132,6 +132,17 @@ def test_rabin_candidates_match_oracle_at_width_edges(bits, block):
     data = random.Random(bits).randbytes(150_000)
     assert _boundary_candidates(data, ROLLING_WINDOW, mask, block=block).tolist() == \
         oracle_candidates(data, mask)
+
+
+@pytest.mark.parametrize("bits", [1, 13, 17, 33])
+@pytest.mark.parametrize("window", [1, 2, 3, 31, 47, 49, 64])
+def test_rabin_candidates_match_oracle_at_window_sizes(window, bits):
+    # The scan composes the window from doublings named by its binary digits:
+    # one digit (1, 2, 64), two (3, 49), several (31, 47), at every width.
+    mask = (1 << (bits - 1)) | (0b111 if bits > 4 else 0)
+    data = random.Random(window * 100 + bits).randbytes(30_000)
+    assert _boundary_candidates(data, window, mask, block=997).tolist() == \
+        oracle_candidates(data, mask, window)
 
 
 def test_rabin_blocking_does_not_change_boundaries():

@@ -378,3 +378,33 @@ def test_cli_integrity_exit_code(ready, tmp_path, capsys):
         fh.write(b"\xff\xff\xff\xff")
     out_path = os.path.join(str(tmp_path), "x.bin")
     assert cli.main(["--config", cfg, "download", fid, "-o", out_path]) == 3
+
+
+def test_cli_failed_download_leaves_no_partial_file(ready, tmp_path, capsys):
+    cfg = make_config(tmp_path, ready, "tmpuser")
+    assert cli.main(["--config", cfg, "keygen-register", "--user", "tmpuser"]) == 0
+    data = random.Random(13).randbytes(300_000)
+    path = write_file(tmp_path, "t.bin", data)
+    assert cli.main(["--config", cfg, "upload", path, "--policy", "tmpuser"]) == 0
+    fid = capsys.readouterr().out.strip().splitlines()[-1]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    kept = str(out_dir / "kept.bin")
+    assert cli.main(["--config", cfg, "download", fid, "-o", kept]) == 0
+    assert os.listdir(out_dir) == ["kept.bin"]
+    with open(kept, "rb") as fh:
+        assert fh.read() == data
+
+    containers = os.path.join(ready.data_root, "containers")
+    target = os.path.join(containers, sorted(os.listdir(containers))[0])
+    with open(target, "r+b") as fh:
+        fh.seek(200_000)  # a chunk after the first ones
+        byte = fh.read(1)
+        fh.seek(200_000)
+        fh.write(bytes([byte[0] ^ 0x01]))
+    fresh = str(out_dir / "fresh.bin")
+    assert cli.main(["--config", cfg, "download", fid, "-o", fresh]) == 3
+    assert cli.main(["--config", cfg, "download", fid, "-o", kept]) == 3
+    assert os.listdir(out_dir) == ["kept.bin"]
+    with open(kept, "rb") as fh:
+        assert fh.read() == data
