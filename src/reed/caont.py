@@ -107,12 +107,12 @@ def self_xor(data: bytes) -> bytes:
     return np.bitwise_xor.reduce(arr.reshape(-1, PIECE_SIZE), axis=0).tobytes()
 
 
-def split_package(package: bytes, stub_size: int = STUB_SIZE) -> tuple[bytes, bytes]:
-    """Split a serialized package into (trimmed, stub) at len - stub_size."""
-    if len(package) <= stub_size:
+def split_package(package: bytes) -> tuple[bytes, bytes]:
+    """Split a serialized package into (trimmed, stub) at len - STUB_SIZE."""
+    if len(package) <= STUB_SIZE:
         raise PackageTooSmall(
-            f"package of {len(package)} bytes cannot yield a {stub_size}-byte stub")
-    return package[:-stub_size], package[-stub_size:]
+            f"package of {len(package)} bytes cannot yield a {STUB_SIZE}-byte stub")
+    return package[:-STUB_SIZE], package[-STUB_SIZE:]
 
 
 def join_package(trimmed: bytes, stub: bytes) -> bytes:
@@ -213,8 +213,7 @@ def encrypt_stub_file(stubs: Sequence[bytes], file_key: bytes) -> bytes:
     return nonce + AESGCM(file_key).encrypt(nonce, plain, None)
 
 
-def decrypt_stub_file(blob: bytes, file_key: bytes,
-                      stub_size: int = STUB_SIZE) -> list[bytes]:
+def decrypt_stub_file(blob: bytes, file_key: bytes) -> list[bytes]:
     """Invert encrypt_stub_file; raises AuthenticationFailure on wrong key."""
     if len(file_key) != KEY_SIZE:
         raise ValueError("file key must be 32 bytes")
@@ -225,6 +224,6 @@ def decrypt_stub_file(blob: bytes, file_key: bytes,
         plain = AESGCM(file_key).decrypt(nonce, rest, None)
     except InvalidTag as exc:
         raise AuthenticationFailure("stub file failed authentication") from exc
-    if len(plain) % stub_size:
+    if len(plain) % STUB_SIZE:
         raise AuthenticationFailure("stub file plaintext is not stub-aligned")
-    return [plain[i:i + stub_size] for i in range(0, len(plain), stub_size)]
+    return [plain[i:i + STUB_SIZE] for i in range(0, len(plain), STUB_SIZE)]

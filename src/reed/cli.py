@@ -52,7 +52,7 @@ def _store_session(cfg: Config):
 def _key_session(cfg: Config):
     host, port = parse_address(cfg.get("client", "manager"))
     with Connection(host, port) as conn:
-        yield KeySession(conn, batch_cap=cfg.getint("manager", "batch_cap"))
+        yield KeySession(conn)
 
 
 def _umask() -> int:

@@ -77,11 +77,7 @@ class StoreSession:
         self._backend = backend
 
     def _call(self, msg_type: int, payload: bytes) -> bytes:
-        resp_type, body = self._backend.request(msg_type, payload)
-        wire.raise_for_frame(resp_type, body)
-        if resp_type != (msg_type | wire.RESP_FLAG):
-            raise TransportError(f"unexpected response type {resp_type:#x}")
-        return body
+        return wire.call(self._backend, msg_type, payload)
 
     def put_packages(self, items: list[tuple[bytes, bytes]]) -> int:
         body = self._call(wire.MSG_PUT_PACKAGES, wire.encode_package_items(items))
@@ -221,7 +217,7 @@ class Recipe:
         if r.u32() != RECIPE_FORMAT:
             raise ValueError("unsupported recipe format")
         file_id = r.take(32).hex()
-        pathname = r.bytes_u32().decode("utf-8")
+        pathname = r.text()
         size = r.u64()
         count = r.u64()
         scheme = r.u8()
@@ -290,6 +286,7 @@ def _chunk_blocks(blocks: Iterable[tuple[bytes, bool]], params: ChunkingParams
         if chunks and not last:
             carry = chunks.pop().data
         yield chunks, last
+        del chunks  # so the next block is read and chunked without them
 
 
 def _keyed_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], keying: str,
@@ -307,6 +304,7 @@ def _keyed_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], keying: str,
     index = 0
     for chunks, last in chunk_blocks:
         pairs = open_pairs + [(c, fingerprint(c)) for c in chunks]
+        del chunks  # only open_pairs may hold chunks while the next block is read
         if not pairs:
             continue
         if keying == KEYING_CHUNK:
@@ -314,8 +312,10 @@ def _keyed_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], keying: str,
             for (chunk, _), key in zip(pairs, chunk_keys):
                 yield chunk, key, index
                 index += 1
+            del pairs
             continue
         segments = segment(pairs, seg_params)
+        del pairs
         open_pairs = [] if last else segments.pop().chunks
         if not segments:
             continue
@@ -323,6 +323,7 @@ def _keyed_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], keying: str,
             for chunk, _ in seg.chunks:
                 yield chunk, key, index
             index += 1
+        del segments, seg
 
 
 def store_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], *,

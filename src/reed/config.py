@@ -8,6 +8,9 @@ Documented keys (all optional; defaults shown in DEFAULTS below):
     [segment] avg_size
     [server]  listen, data_root, key_root, container_size
     [manager] listen, key_file, rate_capacity, rate_refill, batch_cap
+
+Only ``serve-manager`` reads [manager]; a client learns the batch cap from
+the manager's public-key reply.
 """
 
 from __future__ import annotations

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import secrets
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable
 
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import rsa
@@ -28,7 +29,7 @@ from cryptography.hazmat.primitives.asymmetric import rsa
 from . import wire
 from .chunking import Segment
 from .errors import (InvalidOperand, PrivateKeyFault, RateLimited, SignatureInvalid,
-                     ZeroFingerprint)
+                     TransportError, ZeroFingerprint)
 
 DEFAULT_MODULUS_BITS = 1024
 DEFAULT_RATE_CAPACITY = 10_000
@@ -126,7 +127,6 @@ class ManagerKeyPair(RSAKeyPair):
 
     @classmethod
     def load_or_create(cls, path: str, bits: int = DEFAULT_MODULUS_BITS) -> "ManagerKeyPair":
-        import os
         if os.path.exists(path):
             return cls.load_pem(path)
         pair = cls.generate(bits)
@@ -253,59 +253,50 @@ class KeyManagerService:
             self._signed_count += len(values)
         return out
 
-    def handle_frame(self, msg_type: int, payload: bytes, client_id: str) -> tuple[int, bytes]:
+    def handle_frame(self, msg_type: int, payload: bytes, client_id: str) -> bytes:
         width = self.public_key.width
-        try:
-            if msg_type == wire.MSG_KEYGEN:
-                values = wire.decode_int_list(payload, width)
-                signed = self.sign_batch(values, client_id)
-                return wire.MSG_KEYGEN | wire.RESP_FLAG, wire.encode_int_list(signed, width)
-            if msg_type == wire.MSG_MANAGER_PUBKEY:
-                pub = self.public_key
-                body = (wire.prefixed(pub.n.to_bytes(width, "big"))
-                        + wire.prefixed(pub.e.to_bytes(4, "big")))
-                return wire.MSG_MANAGER_PUBKEY | wire.RESP_FLAG, body
-        except RateLimited as exc:
-            raise wire.ServiceError(wire.ERR_RATE_LIMITED, str(exc)) from exc
-        except InvalidOperand as exc:
-            raise wire.ServiceError(wire.ERR_BAD_REQUEST, str(exc)) from exc
-        raise wire.ServiceError(wire.ERR_BAD_REQUEST, f"unknown message type {msg_type:#x}")
-
-
-class ManagerBackend(Protocol):
-    def request(self, msg_type: int, payload: bytes) -> tuple[int, bytes]: ...
+        if msg_type == wire.MSG_KEYGEN:
+            signed = self.sign_batch(wire.decode_int_list(payload, width), client_id)
+            return wire.encode_int_list(signed, width)
+        if msg_type == wire.MSG_MANAGER_PUBKEY:
+            # n, e, and the cap by which clients split their batches
+            pub = self.public_key
+            return (wire.prefixed(pub.n.to_bytes(width, "big"))
+                    + wire.prefixed(pub.e.to_bytes(4, "big")) + wire.u32(self.batch_cap))
+        raise InvalidOperand(f"unknown message type {msg_type:#x}")
 
 
 class KeySession:
     """Client-side session: blinds, submits batches, unblinds.
 
     Works over any backend exposing request(); the in-process LocalBackend
-    and the TCP connection run the exact same codecs.
+    and the TCP connection run the exact same codecs. Batches are split by
+    the cap the manager announces with its public key.
     """
 
-    def __init__(self, backend: ManagerBackend, batch_cap: int = DEFAULT_BATCH_CAP):
+    def __init__(self, backend):
         self._backend = backend
-        self.batch_cap = batch_cap
         self._pub: ManagerPublicKey | None = None
+        self._batch_cap = 0
         self.request_count = 0  # fingerprints submitted for signing
 
     @property
     def public_key(self) -> ManagerPublicKey:
         if self._pub is None:
-            msg_type, payload = self._backend.request(wire.MSG_MANAGER_PUBKEY, b"")
-            wire.raise_for_frame(msg_type, payload)
-            r = wire.Reader(payload)
+            r = wire.Reader(wire.call(self._backend, wire.MSG_MANAGER_PUBKEY, b""))
             n = int.from_bytes(r.bytes_u32(), "big")
             e = int.from_bytes(r.bytes_u32(), "big")
+            batch_cap = r.u32()
             r.done()
-            self._pub = ManagerPublicKey(n=n, e=e)
+            if batch_cap < 1:
+                raise TransportError("manager announced a batch cap of 0")
+            self._pub, self._batch_cap = ManagerPublicKey(n=n, e=e), batch_cap
         return self._pub
 
     def _sign_values(self, values: list[int]) -> list[int]:
-        payload = wire.encode_int_list(values, self.public_key.width)
-        msg_type, body = self._backend.request(wire.MSG_KEYGEN, payload)
-        wire.raise_for_frame(msg_type, body)
-        signed = wire.decode_int_list(body, self.public_key.width)
+        width = self.public_key.width
+        body = wire.call(self._backend, wire.MSG_KEYGEN, wire.encode_int_list(values, width))
+        signed = wire.decode_int_list(body, width)
         if len(signed) != len(values):
             raise SignatureInvalid("manager returned a short batch")
         return signed
@@ -315,8 +306,8 @@ class KeySession:
         pub = self.public_key
         requests = [blind(fp, pub) for fp in fps]
         keys: list[bytes] = []
-        for i in range(0, len(requests), self.batch_cap):
-            batch = requests[i:i + self.batch_cap]
+        for i in range(0, len(requests), self._batch_cap):
+            batch = requests[i:i + self._batch_cap]
             signed = self._sign_values([req.value for req in batch])
             self.request_count += len(batch)
             keys.extend(unblind(s, req) for s, req in zip(signed, batch))

@@ -33,6 +33,7 @@ from . import caont
 from .errors import (AccessDenied, AtInitialState, NotFound, NotOwner,
                      PolicyEmpty, UnknownUser)
 from .keygen import RSAKeyPair
+from .wire import Reader
 
 ACCESS_KEY_BITS = 2048
 
@@ -124,10 +125,9 @@ def _encode_state(state: KeyState) -> bytes:
 
 
 def _decode_state(blob: bytes) -> KeyState:
-    from .wire import Reader
     r = Reader(blob)
     version = r.u32()
-    owner = r.bytes_u32().decode("utf-8")
+    owner = r.text()
     value = int.from_bytes(r.bytes_u32(), "big")
     n = int.from_bytes(r.bytes_u32(), "big")
     e = int.from_bytes(r.take(4), "big")
@@ -189,13 +189,12 @@ def wrap_state(state: KeyState, policy: Iterable[str],
 
 
 def _parse_wrap(blob: bytes):
-    from .wire import Reader
     r = Reader(blob)
     version = r.u32()
     count = r.u32()
     entries = []
     for _ in range(count):
-        uid = r.bytes_u32().decode("utf-8")
+        uid = r.text()
         enc = r.bytes_u32()
         entries.append((uid, enc))
     return version, entries, r

@@ -18,8 +18,7 @@ import threading
 from dataclasses import dataclass
 
 from . import wire
-from .errors import (FingerprintMismatch, InvalidOperand, NotFound,
-                     VersionConflict)
+from .errors import FingerprintMismatch, InvalidOperand, NotFound, VersionConflict
 
 CONTAINER_SIZE = 4 * 1024 * 1024
 _INDEX_RECORD = struct.Struct(">32sIII")  # fp, container id, offset, length
@@ -127,9 +126,6 @@ class ContainerStore:
         if self._fh is not None:
             self._fh.flush()
             os.fsync(self._fh.fileno())
-
-    def read(self, cid: int, offset: int, length: int) -> bytes:
-        return self.read_many(cid, [(offset, length)])[0]
 
     def read_many(self, cid: int, spans: list[tuple[int, int]]) -> list[bytes]:
         """Read several (offset, length) spans with one container open."""
@@ -276,9 +272,6 @@ class StorageService:
         self.containers.close()
         self.index.close()
 
-    def _blob_store(self, kind: str) -> BlobStore:
-        return self.key_blobs if kind in _KEY_KINDS else self.data_blobs
-
     def _persist_counters(self) -> None:
         tmp = self._counters_path + ".tmp"
         with open(tmp, "w") as fh:
@@ -326,14 +319,6 @@ class StorageService:
                 out[pos] = data
         return out
 
-    def put_blob(self, kind: str, obj_id: str, version: int, blob: bytes,
-                 expected_prev: int | None = None) -> None:
-        self._blob_store(kind).put(kind, obj_id, version, blob, expected_prev)
-
-    def get_blob(self, kind: str, obj_id: str,
-                 version: int | None = None) -> tuple[int, bytes]:
-        return self._blob_store(kind).get(kind, obj_id, version)
-
     def stats(self) -> ServerStats:
         with self._lock:
             return ServerStats(
@@ -346,51 +331,38 @@ class StorageService:
 
     # -- wire dispatch -------------------------------------------------------
 
-    def handle_frame(self, msg_type: int, payload: bytes,
-                     client_id: str = "") -> tuple[int, bytes]:
-        try:
-            return self._dispatch(msg_type, payload)
-        except wire.ServiceError:
-            raise
-        except (NotFound, FingerprintMismatch, VersionConflict, InvalidOperand) as exc:
-            raise wire.error_for_exception(exc) from exc
-
-    def _dispatch(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        resp = msg_type | wire.RESP_FLAG
+    def handle_frame(self, msg_type: int, payload: bytes, client_id: str) -> bytes:
         if msg_type == wire.MSG_PUT_PACKAGES:
-            stored = self.store_packages(wire.decode_package_items(payload))
-            return resp, wire.u32(stored)
+            return wire.u32(self.store_packages(wire.decode_package_items(payload)))
         if msg_type == wire.MSG_GET_PACKAGES:
             blobs = self.get_packages(wire.decode_fingerprint_list(payload))
-            return resp, wire.encode_byte_list(blobs)
+            return wire.encode_byte_list(blobs)
         if msg_type in _BLOB_KINDS:
-            return resp, self._handle_blob(_BLOB_KINDS[msg_type], payload)
+            return self._handle_blob(_BLOB_KINDS[msg_type], payload)
         if msg_type == wire.MSG_STATS:
             s = self.stats()
-            return resp, wire.encode_stats(s.logical_bytes, s.physical_bytes,
-                                           s.stub_bytes, s.container_count,
-                                           s.index_entries)
-        raise wire.ServiceError(wire.ERR_BAD_REQUEST,
-                                f"unknown message type {msg_type:#x}")
+            return wire.encode_stats(s.logical_bytes, s.physical_bytes, s.stub_bytes,
+                                     s.container_count, s.index_entries)
+        raise InvalidOperand(f"unknown message type {msg_type:#x}")
 
     def _handle_blob(self, kind: str, payload: bytes) -> bytes:
         r = wire.Reader(payload)
         op = r.u8()
-        obj_id = r.bytes_u32().decode("utf-8")
+        obj_id = r.text()
+        store = self.key_blobs if kind in _KEY_KINDS else self.data_blobs
         if op == wire.BLOB_PUT:
             version = r.u32()
             expected = r.u32() if r.u8() else None
             blob = r.bytes_u32()
             r.done()
-            self.put_blob(kind, obj_id, version, blob, expected)
+            store.put(kind, obj_id, version, blob, expected)
             return b""
         if op == wire.BLOB_GET:
             version = r.u32()
             r.done()
             v = None if version == wire.VERSION_CURRENT else version
-            got_version, blob = self.get_blob(kind, obj_id, v)
-            return wire.encode_blob_response(got_version, blob)
-        raise wire.ServiceError(wire.ERR_BAD_REQUEST, f"unknown blob op {op}")
+            return wire.encode_blob_response(*store.get(kind, obj_id, v))
+        raise InvalidOperand(f"unknown blob op {op}")
 
 
 class _FrameHandler(socketserver.BaseRequestHandler):
@@ -401,14 +373,7 @@ class _FrameHandler(socketserver.BaseRequestHandler):
                 msg_type, payload = wire.read_frame(self.request)
             except (ConnectionError, OSError):
                 return
-            try:
-                resp_type, body = self.server.service.handle_frame(
-                    msg_type, payload, client_id)
-            except wire.ServiceError as err:
-                resp_type, body = wire.MSG_ERROR, wire.encode_error(err)
-            except Exception as exc:  # never kill the connection loop
-                err = wire.ServiceError(wire.ERR_INTERNAL, repr(exc))
-                resp_type, body = wire.MSG_ERROR, wire.encode_error(err)
+            resp_type, body = wire.respond(self.server.service, msg_type, payload, client_id)
             try:
                 wire.write_frame(self.request, resp_type, body)
             except OSError:

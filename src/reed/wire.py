@@ -11,6 +11,8 @@ operation (0x00 put, 0x01 get).
 
 from __future__ import annotations
 
+import logging
+import secrets
 import socket
 import struct
 
@@ -52,32 +54,14 @@ _ERR_EXC = {
     ERR_INTERNAL: errors.StorageUnavailable,
 }
 
-_EXC_ERR = {
-    errors.NotFound: ERR_NOT_FOUND,
-    errors.FingerprintMismatch: ERR_FINGERPRINT_MISMATCH,
-    errors.VersionConflict: ERR_VERSION_CONFLICT,
-    errors.RateLimited: ERR_RATE_LIMITED,
-    errors.InvalidOperand: ERR_BAD_REQUEST,
-    errors.AccessDenied: ERR_ACCESS_DENIED,
-}
+# ERR_INTERNAL is sent only by respond(), with an incident id and no detail.
+_EXC_ERR = {exc: code for code, exc in _ERR_EXC.items() if code != ERR_INTERNAL}
+
+_log = logging.getLogger("reed")
 
 
-class ServiceError(Exception):
-    """Raised by a service handler; serialized as an error frame."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
-def error_for_exception(exc: Exception) -> ServiceError:
-    code = _EXC_ERR.get(type(exc), ERR_INTERNAL)
-    return ServiceError(code, str(exc))
-
-
-def encode_error(err: ServiceError) -> bytes:
-    return struct.pack(">H", err.code) + err.message.encode("utf-8")
+def encode_error(code: int, message: str) -> bytes:
+    return struct.pack(">H", code) + message.encode("utf-8")
 
 
 def raise_for_frame(msg_type: int, payload: bytes) -> None:
@@ -89,6 +73,33 @@ def raise_for_frame(msg_type: int, payload: bytes) -> None:
     code = struct.unpack(">H", payload[:2])[0]
     message = payload[2:].decode("utf-8", "replace")
     raise _ERR_EXC.get(code, errors.StorageUnavailable)(message)
+
+
+def respond(service, msg_type: int, payload: bytes, client_id: str) -> tuple[int, bytes]:
+    """(msg_type | RESP_FLAG, service.handle_frame(...)), or the error frame.
+
+    An exception with no error code, even for a base class, is logged with
+    its traceback under a random incident id, and only that id is sent back.
+    """
+    try:
+        return msg_type | RESP_FLAG, service.handle_frame(msg_type, payload, client_id)
+    except Exception as exc:  # the serving loop must answer and keep running
+        code = next((_EXC_ERR[cls] for cls in type(exc).__mro__ if cls in _EXC_ERR), None)
+        message = str(exc)
+        if code is None:
+            code, message = ERR_INTERNAL, f"internal error {secrets.token_hex(8)}"
+            _log.exception("%s on message type %#04x from %s", message, msg_type, client_id)
+        return MSG_ERROR, encode_error(code, message)
+
+
+def call(backend, msg_type: int, payload: bytes) -> bytes:
+    """The reply body; raises the error frame's exception or, for a reply of
+    another type, TransportError."""
+    resp_type, body = backend.request(msg_type, payload)
+    raise_for_frame(resp_type, body)
+    if resp_type != msg_type | RESP_FLAG:
+        raise errors.TransportError(f"unexpected response type {resp_type:#x}")
+    return body
 
 
 # -- framing -------------------------------------------------------------------
@@ -130,8 +141,8 @@ def read_frame(sock: socket.socket) -> tuple[int, bytearray]:
 class LocalBackend:
     """In-process request path used by the trace harness and tests.
 
-    Runs the same payload codecs as the TCP path against a service object
-    exposing handle_frame(msg_type, payload, client_id).
+    Answers through respond(), as the TCP server does, so both transports
+    return the same reply and error frames for the same request.
     """
 
     def __init__(self, service, client_id: str = "local"):
@@ -139,10 +150,7 @@ class LocalBackend:
         self._client_id = client_id
 
     def request(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        try:
-            return self._service.handle_frame(msg_type, payload, self._client_id)
-        except ServiceError as err:
-            return MSG_ERROR, encode_error(err)
+        return respond(self._service, msg_type, payload, self._client_id)
 
 
 # -- payload codecs --------------------------------------------------------------
@@ -186,6 +194,13 @@ class Reader:
 
     def bytes_u32(self) -> bytes:
         return self.take(self.u32())
+
+    def text(self) -> str:
+        """A u32-prefixed UTF-8 string; other bytes are a bad request."""
+        try:
+            return self.bytes_u32().decode("utf-8")
+        except UnicodeDecodeError:
+            raise errors.InvalidOperand("text field is not valid UTF-8") from None
 
     def done(self) -> None:
         if self._pos != len(self._data):

@@ -164,11 +164,17 @@ def test_batch_cap_enforced(pair):
         service.sign_batch([2] * 5, "c")
 
 
-def test_session_splits_large_fingerprint_lists(pair, service):
-    session = KeySession(LocalBackend(service), batch_cap=4)
+def test_session_splits_large_fingerprint_lists(pair):
+    service = KeyManagerService(pair, batch_cap=4)
+    sizes = []
+    sign_batch = service.sign_batch
+    service.sign_batch = lambda values, client_id: (sizes.append(len(values))
+                                                    or sign_batch(values, client_id))
+    session = KeySession(LocalBackend(service))  # learns the cap with the public key
     fps = [os.urandom(32) for _ in range(11)]
     keys = session.keys_for_fingerprints(fps)
     assert keys == [direct_key(pair, fp) for fp in fps]
+    assert sizes == [4, 4, 3]
     assert session.request_count == 11
 
 

@@ -1,0 +1,117 @@
+"""One request path: both transports answer every request through wire.respond.
+
+The same bad requests are sent in-process (LocalBackend) and over TCP
+(FrameServer + Connection) and must raise the same typed error; a fault
+inside a service reaches the peer as an incident id only, with the detail
+logged on the server; and the client refuses a reply of the wrong type.
+"""
+
+import logging
+import os
+import re
+
+import pytest
+
+from reed import wire
+from reed.client import Connection, Recipe
+from reed.errors import InvalidOperand, RateLimited, StorageUnavailable, TransportError
+from reed.keygen import DEFAULT_MODULUS_BITS, KeyManagerService, KeySession
+from reed.server import FrameServer, StorageService
+
+
+@pytest.fixture(scope="module")
+def services(tmp_path_factory, manager_keypair):
+    root = str(tmp_path_factory.mktemp("request-path"))
+    store = StorageService(os.path.join(root, "data"), os.path.join(root, "keys"))
+    # a cap of 4 and a bucket of 2 tokens that never refills: 5 values are
+    # over the cap, 3 are under it but over the rate limit
+    manager = KeyManagerService(manager_keypair, rate_capacity=2, rate_refill=0.0,
+                                batch_cap=4)
+    servers = {"store": FrameServer(store).start(), "manager": FrameServer(manager).start()}
+    conns = {name: Connection(*server.address) for name, server in servers.items()}
+    yield {"store": store, "manager": manager}, conns
+    for name in servers:
+        conns[name].close()
+        servers[name].stop()
+    store.close()
+
+
+def keygen_values(count: int) -> bytes:
+    return wire.encode_int_list([2] * count, DEFAULT_MODULUS_BITS // 8)
+
+
+CASES = {
+    "store-unknown-type": ("store", 0x55, b"", InvalidOperand),
+    "manager-unknown-type": ("manager", 0x55, b"", InvalidOperand),
+    "unknown-blob-op": ("store", wire.MSG_RECIPE, b"\x09" + wire.prefixed(b"id"),
+                        InvalidOperand),
+    "truncated-payload": ("store", wire.MSG_GET_PACKAGES, b"\xff\xff", InvalidOperand),
+    "non-utf8-id": ("store", wire.MSG_RECIPE,
+                    bytes([wire.BLOB_GET]) + wire.prefixed(b"\xff\xfe")
+                    + wire.u32(wire.VERSION_CURRENT), InvalidOperand),
+    "keygen-over-cap": ("manager", wire.MSG_KEYGEN, keygen_values(5), InvalidOperand),
+    "rate-limited": ("manager", wire.MSG_KEYGEN, keygen_values(3), RateLimited),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_both_transports_raise_the_same_error(services, case):
+    target, msg_type, payload, expected = CASES[case]
+    objects, conns = services
+    for transport, backend in [("local", wire.LocalBackend(objects[target])),
+                               ("tcp", conns[target])]:
+        with pytest.raises(expected) as info:
+            wire.call(backend, msg_type, payload)
+        assert type(info.value) is expected, transport
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_internal_error_reaches_the_peer_as_an_incident_id(services, transport,
+                                                           monkeypatch, caplog):
+    objects, conns = services
+    store = objects["store"]
+
+    def broken(fps):
+        raise RuntimeError("/secret/path")
+
+    monkeypatch.setattr(store, "get_packages", broken)
+    backend = wire.LocalBackend(store) if transport == "local" else conns["store"]
+    peer = "local" if transport == "local" else "127.0.0.1"
+    with caplog.at_level(logging.ERROR, logger="reed"):
+        with pytest.raises(StorageUnavailable) as info:
+            wire.call(backend, wire.MSG_GET_PACKAGES, wire.encode_fingerprint_list([]))
+    message = str(info.value)
+    assert "/secret/path" not in message
+    incident = re.fullmatch(r"internal error ([0-9a-f]+)", message).group(1)
+    records = [r for r in caplog.records if r.name == "reed"]
+    assert len(records) == 1
+    record = records[0]
+    assert record.levelno == logging.ERROR
+    logged = record.getMessage()
+    assert incident in logged and "0x03" in logged and peer in logged
+    assert record.exc_info[0] is RuntimeError
+
+
+def test_key_session_refuses_a_reply_of_the_wrong_type(manager_keypair):
+    local = wire.LocalBackend(KeyManagerService(manager_keypair))
+
+    class WrongType:
+        def request(self, msg_type, payload):
+            resp_type, body = local.request(msg_type, payload)
+            if msg_type == wire.MSG_KEYGEN:
+                return wire.MSG_STATS | wire.RESP_FLAG, body
+            return resp_type, body
+
+    with pytest.raises(TransportError):
+        KeySession(WrongType()).key_for_fingerprint(os.urandom(32))
+
+
+def test_text_fields_reject_non_utf8():
+    with pytest.raises(InvalidOperand):
+        wire.Reader(wire.prefixed(b"\xff\xfe")).text()
+    assert wire.Reader(wire.prefixed("ü".encode())).text() == "ü"
+    recipe = Recipe(file_id="00" * 32, pathname="x", size=0, scheme=0,
+                    keying="chunk", state_version=0).encode()
+    bad = recipe.replace(wire.prefixed(b"x"), wire.prefixed(b"\xff"))
+    with pytest.raises(InvalidOperand):
+        Recipe.decode(bad)

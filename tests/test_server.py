@@ -326,7 +326,6 @@ def test_malformed_payload_is_rejected(service):
 
 
 def test_error_frame_codec():
-    err = wire.ServiceError(wire.ERR_NOT_FOUND, "missing thing")
-    payload = wire.encode_error(err)
+    payload = wire.encode_error(wire.ERR_NOT_FOUND, "missing thing")
     with pytest.raises(NotFound, match="missing thing"):
         wire.raise_for_frame(wire.MSG_ERROR, payload)

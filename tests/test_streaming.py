@@ -19,8 +19,11 @@ import pytest
 
 from reed import client
 from reed.chunking import ChunkingParams, SegmentationParams, chunk_stream, fingerprint, segment
-from reed.client import KEYING_CHUNK, KEYING_SIMILARITY, download_to, upload
-from reed.keygen import KeySession
+from reed.client import (KEYING_CHUNK, KEYING_SIMILARITY, StoreSession, download_to,
+                         register_identity, upload)
+from reed.keygen import KeyManagerService, KeySession
+from reed.server import StorageService
+from reed.wire import LocalBackend
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MiB = 1 << 20
@@ -139,6 +142,28 @@ def test_upload_and_download_memory_does_not_grow_with_the_file(
             assert a.read() == b.read()
     assert up[36] - up[12] < 8 * MiB, up
     assert down[36] - down[12] < 8 * MiB, down
+
+
+def test_upload_frees_each_block_before_reading_the_next(manager_keypair, identities,
+                                                         tmp_path):
+    # In-process, so the peak counts the client alone. Holding one block's
+    # chunks while the next is read and chunked reads about 26 MiB here;
+    # freeing them, about 22.5 MiB.
+    service = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
+    store = StoreSession(LocalBackend(service))
+    keys = KeySession(LocalBackend(KeyManagerService(manager_keypair)))
+    alice = identities["alice"]
+    register_identity(store, alice)
+    keys.public_key
+    path = str(tmp_path / "24.bin")
+    with open(path, "wb") as fh:
+        fh.write(random.Random(24).randbytes(24 * MiB))
+    try:
+        peak = traced_peak(upload, path, policy=["alice"], identity=alice,
+                           store=store, keys=keys)
+    finally:
+        service.close()
+    assert peak < 24.5 * MiB, peak / MiB
 
 
 def test_span_tracer_sees_every_stage(cluster, identities, tmp_path):
