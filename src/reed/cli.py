@@ -262,6 +262,9 @@ def trace_main(argv: list[str] | None = None) -> int:
                     fh.write(text)
             else:
                 sys.stdout.write(text)
+            # on stderr, so that standard output stays one TSV table
+            print(f"key_requests\t{report.key_requests}\nkeys_sent\t{report.keys_sent}",
+                  file=sys.stderr)
             return EXIT_OK
         if args.command == "gen":
             trace = traceharness.generate_trace(args.seed, args.snapshots,

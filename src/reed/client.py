@@ -215,7 +215,7 @@ class Recipe:
     def decode(cls, blob: bytes) -> "Recipe":
         r = wire.Reader(blob)
         if r.u32() != RECIPE_FORMAT:
-            raise ValueError("unsupported recipe format")
+            raise IntegrityViolation("unsupported recipe format")
         file_id = r.take(32).hex()
         pathname = r.text()
         size = r.u64()
@@ -228,7 +228,7 @@ class Recipe:
         recipe = cls(file_id=file_id, pathname=pathname, size=size, scheme=scheme,
                      keying=keying, state_version=state_version, entries=entries)
         if sum(length for _, length, _ in entries) != size:
-            raise ValueError("recipe chunk lengths do not add up to the file size")
+            raise IntegrityViolation("recipe chunk lengths do not add up to the file size")
         return recipe
 
 

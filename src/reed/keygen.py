@@ -20,6 +20,7 @@ import os
 import secrets
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -35,6 +36,9 @@ DEFAULT_MODULUS_BITS = 1024
 DEFAULT_RATE_CAPACITY = 10_000
 DEFAULT_RATE_REFILL = 10_000.0
 DEFAULT_BATCH_CAP = 256
+# About 3.3 MiB when full: a 32-byte fingerprint, a 32-byte key and the
+# ordered-dict entry that links them.
+KEY_CACHE_ENTRIES = 16_384
 
 
 @dataclass(frozen=True)
@@ -267,18 +271,26 @@ class KeyManagerService:
 
 
 class KeySession:
-    """Client-side session: blinds, submits batches, unblinds.
+    """Client-side session: blinds, submits batches, unblinds, and caches.
 
     Works over any backend exposing request(); the in-process LocalBackend
     and the TCP connection run the exact same codecs. Batches are split by
     the cap the manager announces with its public key.
+
+    Keys are cached per fingerprint in a least-recently-used map of at most
+    KEY_CACHE_ENTRIES entries, so the manager, and its rate limit, see only
+    fingerprints this session has not resolved. The cache is never persisted
+    or sent, and it holds only keys that passed unblind's check under this
+    session's one manager public key.
     """
 
     def __init__(self, backend):
         self._backend = backend
         self._pub: ManagerPublicKey | None = None
         self._batch_cap = 0
-        self.request_count = 0  # fingerprints submitted for signing
+        self._cache: OrderedDict[bytes, bytes] = OrderedDict()
+        self.request_count = 0  # keys resolved, from the cache or the manager
+        self.sent_count = 0  # fingerprints the manager signed
 
     @property
     def public_key(self) -> ManagerPublicKey:
@@ -302,16 +314,36 @@ class KeySession:
         return signed
 
     def keys_for_fingerprints(self, fps: Iterable[bytes]) -> list[bytes]:
-        """One chunk key per fingerprint, in order, batched on the wire."""
+        """One chunk key per fingerprint, in order.
+
+        Cached fingerprints are answered locally; the others are sent once
+        each, in first-seen order, batched on the wire.
+        """
+        fps = list(fps)
         pub = self.public_key
-        requests = [blind(fp, pub) for fp in fps]
-        keys: list[bytes] = []
+        cache = self._cache
+        keys: dict[bytes, bytes] = {}
+        missed: list[bytes] = []
+        for fp in dict.fromkeys(fps):
+            key = cache.get(fp)
+            if key is None:
+                missed.append(fp)
+            else:
+                cache.move_to_end(fp)
+                keys[fp] = key
+        requests = [blind(fp, pub) for fp in missed]
         for i in range(0, len(requests), self._batch_cap):
             batch = requests[i:i + self._batch_cap]
             signed = self._sign_values([req.value for req in batch])
-            self.request_count += len(batch)
-            keys.extend(unblind(s, req) for s, req in zip(signed, batch))
-        return keys
+            self.sent_count += len(batch)
+            # every key of the batch passes unblind's check before any is cached
+            fresh = [unblind(s, req) for s, req in zip(signed, batch)]
+            for fp, key in zip(missed[i:i + self._batch_cap], fresh):
+                keys[fp] = cache[fp] = key
+                if len(cache) > KEY_CACHE_ENTRIES:
+                    cache.popitem(last=False)
+        self.request_count += len(fps)
+        return [keys[fp] for fp in fps]
 
     def key_for_fingerprint(self, fp: bytes) -> bytes:
         return self.keys_for_fingerprints([fp])[0]

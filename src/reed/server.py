@@ -9,6 +9,7 @@ acknowledged writes survive a restart.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -18,7 +19,8 @@ import threading
 from dataclasses import dataclass
 
 from . import wire
-from .errors import FingerprintMismatch, InvalidOperand, NotFound, VersionConflict
+from .errors import (FingerprintMismatch, InvalidOperand, NotFound, TransportError,
+                     VersionConflict)
 
 CONTAINER_SIZE = 4 * 1024 * 1024
 _INDEX_RECORD = struct.Struct(">32sIII")  # fp, container id, offset, length
@@ -371,6 +373,13 @@ class _FrameHandler(socketserver.BaseRequestHandler):
         while True:
             try:
                 msg_type, payload = wire.read_frame(self.request)
+            except TransportError as exc:
+                # An oversized header: its body is never read, so the stream
+                # is out of step and the connection ends after the answer.
+                with contextlib.suppress(OSError):
+                    wire.write_frame(self.request, wire.MSG_ERROR,
+                                     wire.encode_error(wire.ERR_BAD_REQUEST, str(exc)))
+                return
             except (ConnectionError, OSError):
                 return
             resp_type, body = wire.respond(self.server.service, msg_type, payload, client_id)

@@ -57,7 +57,8 @@ class SnapshotRow:
 class SavingsReport:
     mode: str
     rows: list[SnapshotRow] = field(default_factory=list)
-    key_requests: int = 0
+    key_requests: int = 0  # keys resolved, one per chunk or segment
+    keys_sent: int = 0  # of those, the ones the manager signed; the rest hit the cache
 
     @property
     def totals(self) -> SnapshotRow:
@@ -202,6 +203,7 @@ def replay(snapshots: list[list[TraceRecord]], mode: str,
                                            physical=stats.physical_bytes,
                                            stub=stats.stub_bytes))
         report.key_requests = keys.request_count
+        report.keys_sent = keys.sent_count
     finally:
         service.close()
     return report

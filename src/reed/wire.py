@@ -134,7 +134,8 @@ def read_frame(sock: socket.socket) -> tuple[int, bytearray]:
     """Receive one frame; the payload is a fresh buffer owned by the caller."""
     length, msg_type = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
     if length > MAX_FRAME:
-        raise errors.TransportError(f"frame of {length} bytes exceeds limit")
+        raise errors.TransportError(f"frame of {length} bytes exceeds the limit of "
+                                    f"{MAX_FRAME} bytes")
     return msg_type, _recv_exact(sock, length)
 
 

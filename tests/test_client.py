@@ -380,6 +380,18 @@ def test_cli_integrity_exit_code(ready, tmp_path, capsys):
     assert cli.main(["--config", cfg, "download", fid, "-o", out_path]) == 3
 
 
+def test_cli_bad_recipe_exits_with_an_error(ready, tmp_path, capsys):
+    cfg = make_config(tmp_path, ready, "recipeuser")
+    assert cli.main(["--config", cfg, "keygen-register", "--user", "recipeuser"]) == 0
+    fid = "ab" * 32
+    ready.store_session().put_recipe(fid, b"\x00\x00\x00\x02")  # format 2
+    out_path = os.path.join(str(tmp_path), "r.bin")
+    capsys.readouterr()
+    assert cli.main(["--config", cfg, "download", fid, "-o", out_path]) == 3
+    assert capsys.readouterr().err == "error: unsupported recipe format\n"
+    assert not os.path.exists(out_path)
+
+
 def test_cli_failed_download_leaves_no_partial_file(ready, tmp_path, capsys):
     cfg = make_config(tmp_path, ready, "tmpuser")
     assert cli.main(["--config", cfg, "keygen-register", "--user", "tmpuser"]) == 0

@@ -1,17 +1,19 @@
 import dataclasses
 import hashlib
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import private_operands
+from reed import keygen, wire
 from reed.chunking import Chunk, Segment
 from reed.errors import (InvalidOperand, PrivateKeyFault, RateLimited,
                          SignatureInvalid, ZeroFingerprint)
-from reed.keygen import (KeyManagerService, KeySession, ManagerKeyPair,
-                         TokenBucket, blind, derive_chunk_key, unblind)
+from reed.keygen import (KEY_CACHE_ENTRIES, KeyManagerService, KeySession,
+                         ManagerKeyPair, TokenBucket, blind, derive_chunk_key, unblind)
 from reed.wire import LocalBackend
 
 
@@ -42,9 +44,12 @@ def test_protocol_matches_direct_exponentiation(pair, session):
         assert session.key_for_fingerprint(fp) == direct_key(pair, fp)
 
 
-def test_same_fingerprint_two_blindings_same_key(pair, session):
+def test_same_fingerprint_two_blindings_same_key(pair, service):
+    # two sessions, so that the second key is not served from the first's cache
+    one, two = KeySession(LocalBackend(service)), KeySession(LocalBackend(service))
     fp = os.urandom(32)
-    assert session.key_for_fingerprint(fp) == session.key_for_fingerprint(fp)
+    assert one.key_for_fingerprint(fp) == two.key_for_fingerprint(fp)
+    assert one.sent_count == two.sent_count == 1
 
 
 def test_blinding_hides_fingerprint(pair):
@@ -176,6 +181,116 @@ def test_session_splits_large_fingerprint_lists(pair):
     assert keys == [direct_key(pair, fp) for fp in fps]
     assert sizes == [4, 4, 3]
     assert session.request_count == 11
+
+
+# -- key cache ----------------------------------------------------------------------
+
+
+def test_cached_and_sent_keys_equal_the_oracle(pair, service):
+    session = KeySession(LocalBackend(service))
+    a, b, c, d = (os.urandom(32) for _ in range(4))
+    first = session.keys_for_fingerprints([a, b, a, c, b])
+    assert first == [direct_key(pair, fp) for fp in [a, b, a, c, b]]
+    assert session.sent_count == service.signed_count == 3  # each once, within a call
+    second = session.keys_for_fingerprints([c, d, a, d])
+    assert second == [direct_key(pair, fp) for fp in [c, d, a, d]]
+    assert session.sent_count == service.signed_count == 4  # and across calls
+    assert session.request_count == 9  # every key resolved counts
+
+
+def test_misses_are_sent_in_first_seen_order(pair):
+    service = KeyManagerService(pair, batch_cap=2)
+    sent = []
+    sign_batch = service.sign_batch
+    service.sign_batch = lambda values, client_id: (sent.append(len(values))
+                                                    or sign_batch(values, client_id))
+    session = KeySession(LocalBackend(service))
+    a, b, c, d, e = (os.urandom(32) for _ in range(5))
+    session.keys_for_fingerprints([b])
+    fps = [a, b, c, a, d, c, e]
+    assert session.keys_for_fingerprints(fps) == [direct_key(pair, fp) for fp in fps]
+    assert sent == [1, 2, 2]  # b, then the misses a c d e split by the cap
+
+
+def test_cache_evicts_least_recently_used(pair, service, monkeypatch):
+    monkeypatch.setattr(keygen, "KEY_CACHE_ENTRIES", 4)
+    session = KeySession(LocalBackend(service))
+    a, b, c, d, e = (os.urandom(32) for _ in range(5))
+    session.keys_for_fingerprints([a, b, c, d])
+    session.key_for_fingerprint(a)  # a is now the most recently used
+    session.key_for_fingerprint(e)  # evicts b
+    assert session.sent_count == 5
+    assert session.keys_for_fingerprints([a, c, d, e]) == [
+        direct_key(pair, fp) for fp in [a, c, d, e]]
+    assert session.sent_count == 5
+    assert session.key_for_fingerprint(b) == direct_key(pair, b)  # evicts a
+    assert session.sent_count == 6
+    session.key_for_fingerprint(a)
+    assert session.sent_count == 7
+
+
+def test_response_failing_unblind_caches_nothing(pair, service):
+    tamper = True
+
+    class Tampering:
+        """Flips the last bit of a keygen reply: the batch's last key fails."""
+
+        def __init__(self):
+            self._local = LocalBackend(service)
+
+        def request(self, msg_type, payload):
+            resp_type, body = self._local.request(msg_type, payload)
+            if tamper and msg_type == wire.MSG_KEYGEN:
+                body = body[:-1] + bytes([body[-1] ^ 1])
+            return resp_type, body
+
+    session = KeySession(Tampering())
+    fps = [os.urandom(32) for _ in range(3)]
+    with pytest.raises(SignatureInvalid):
+        session.keys_for_fingerprints(fps)
+    assert session.request_count == 0
+    tamper = False
+    assert session.keys_for_fingerprints(fps) == [direct_key(pair, fp) for fp in fps]
+    assert session.sent_count == 6  # the first two keys were checked, but not kept
+
+
+def test_rate_limit_spends_tokens_only_on_keys_sent(pair):
+    service = KeyManagerService(pair, rate_capacity=4, rate_refill=0.0, clock=FakeClock())
+    session = KeySession(LocalBackend(service, client_id="c"))
+    a, b, c, d, e = (os.urandom(32) for _ in range(5))
+    session.keys_for_fingerprints([a, b, c])
+    session.keys_for_fingerprints([c, a, b, a])  # all cached: no token spent
+    assert service.limiter.tokens("c") == 1
+    with pytest.raises(RateLimited):
+        session.keys_for_fingerprints([d, a, e])  # two to send, one token left
+    assert service.limiter.tokens("c") == 1
+    assert session.keys_for_fingerprints([d, a]) == [direct_key(pair, d), direct_key(pair, a)]
+    assert service.limiter.tokens("c") == 0
+    assert (session.sent_count, session.request_count) == (4, 9)
+
+
+def test_full_cache_is_bounded_in_entries_and_memory(pair, monkeypatch):
+    # e = d = 1 makes signing the identity and r = 1 makes blinding free, so
+    # filling the cache costs no modular exponentiation or inverse; the
+    # session still runs its usual codecs and unblind check.
+    identity = ManagerKeyPair(n=pair.n, e=1, d=1, p=pair.p, q=pair.q)
+    monkeypatch.setattr(keygen, "blind", lambda fp, pub: blind(fp, pub, r=1))
+    session = KeySession(LocalBackend(KeyManagerService(identity, rate_capacity=10 ** 6)))
+    session.public_key  # fetched outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(0, KEY_CACHE_ENTRIES + 1024, 1024):
+            fps = [os.urandom(32) for _ in range(1024)]
+            session.keys_for_fingerprints(fps)
+        del fps
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(session._cache) == KEY_CACHE_ENTRIES
+    assert held < 4 << 20
+    fp = next(reversed(session._cache))
+    assert session.key_for_fingerprint(fp) == direct_key(identity, fp)
 
 
 # -- segment keying -----------------------------------------------------------------

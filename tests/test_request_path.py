@@ -9,12 +9,15 @@ logged on the server; and the client refuses a reply of the wrong type.
 import logging
 import os
 import re
+import socket
+import struct
 
 import pytest
 
 from reed import wire
 from reed.client import Connection, Recipe
-from reed.errors import InvalidOperand, RateLimited, StorageUnavailable, TransportError
+from reed.errors import (IntegrityViolation, InvalidOperand, RateLimited,
+                         StorageUnavailable, TransportError)
 from reed.keygen import DEFAULT_MODULUS_BITS, KeyManagerService, KeySession
 from reed.server import FrameServer, StorageService
 
@@ -115,3 +118,30 @@ def test_text_fields_reject_non_utf8():
     bad = recipe.replace(wire.prefixed(b"x"), wire.prefixed(b"\xff"))
     with pytest.raises(InvalidOperand):
         Recipe.decode(bad)
+
+
+def test_oversized_frame_is_answered_then_the_connection_closes(manager_keypair):
+    server = FrameServer(KeyManagerService(manager_keypair)).start()
+    try:
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(struct.pack(">IB", wire.MAX_FRAME + 1, wire.MSG_STATS))
+            msg_type, payload = wire.read_frame(sock)
+            with pytest.raises(InvalidOperand, match=f"limit of {wire.MAX_FRAME} bytes"):
+                wire.raise_for_frame(msg_type, payload)
+            assert sock.recv(1) == b""  # the body was never read, so nothing follows
+        with Connection(*server.address) as conn:  # and the server still serves
+            assert KeySession(conn).public_key.n == manager_keypair.n
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda blob: wire.u32(2) + blob[4:],  # an unsupported format
+    lambda blob: blob.replace(wire.u64(3), wire.u64(4), 1),  # lengths sum to 3, not 4
+])
+def test_bad_recipe_is_an_integrity_violation(corrupt):
+    recipe = Recipe(file_id="00" * 32, pathname="x", size=3, scheme=0, keying="chunk",
+                    state_version=0, entries=[(b"\x01" * 32, 3, 0)]).encode()
+    assert Recipe.decode(recipe).size == 3
+    with pytest.raises(IntegrityViolation):
+        Recipe.decode(corrupt(recipe))

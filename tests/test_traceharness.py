@@ -154,10 +154,9 @@ def test_key_request_counts_per_mode():
     assert sim.key_requests < chunk.key_requests
 
 
-def oracle_physical(snapshots, mode, seg_params: SegmentationParams) -> int:
-    """Count bytes of distinct (chunk content, key id) pairs directly."""
-    stored = set()
-    total = 0
+def oracle_key_ids(snapshots, mode, seg_params: SegmentationParams):
+    """(chunk content, key id) for every chunk, the key id being the chunk's
+    fingerprint or its segment's minimum fingerprint."""
     for snap in snapshots:
         chunks = [synthesize_chunk(r.fp_hex, r.size) for r in snap]
         fps = [hashlib.sha256(c).digest() for c in chunks]
@@ -177,12 +176,12 @@ def oracle_physical(snapshots, mode, seg_params: SegmentationParams) -> int:
                     rep = min(fps[j] for j in group)
                     key_ids.extend([rep] * len(group))
                     group, size = [], 0
-        for chunk, key_id in zip(chunks, key_ids):
-            ident = (chunk, key_id)
-            if ident not in stored:
-                stored.add(ident)
-                total += len(chunk)
-    return total
+        yield from zip(chunks, key_ids)
+
+
+def oracle_physical(snapshots, mode, seg_params: SegmentationParams) -> int:
+    """Count bytes of distinct (chunk content, key id) pairs directly."""
+    return sum(len(chunk) for chunk, _ in set(oracle_key_ids(snapshots, mode, seg_params)))
 
 
 @pytest.mark.parametrize("mode", [MODE_CHUNK, MODE_SIMILARITY])
@@ -193,6 +192,21 @@ def test_replay_matches_brute_force_oracle(mode):
     report = replay(trace, mode, **SMALL_SEG)
     params = SegmentationParams(avg_size=SMALL_SEG["avg_segment_size"],
                                 avg_chunk_size=SMALL_SEG["avg_chunk_size"])
+    assert report.totals.physical == oracle_physical(trace, mode, params)
+
+
+@pytest.mark.parametrize("mode, resolved", [(MODE_CHUNK, 6000), (MODE_SIMILARITY, 58)])
+def test_key_cache_on_the_mode_comparison_trace(mode, resolved):
+    # acceptance criterion 10's trace, replayed through one key session
+    trace = generate_trace(seed=0x5EED10, snapshots=10, chunks_per_snapshot=600,
+                           mutation_rate=0.1)
+    report = replay(trace, mode)
+    params = SegmentationParams()
+    assert report.key_requests == resolved
+    assert report.keys_sent <= report.key_requests
+    # the cache holds every key of this trace, so each distinct key id is sent once
+    key_ids = {key_id for _, key_id in oracle_key_ids(trace, mode, params)}
+    assert report.keys_sent == len(key_ids)
     assert report.totals.physical == oracle_physical(trace, mode, params)
 
 
@@ -279,3 +293,6 @@ def test_trace_cli_gen_and_replay(tmp_path, capsys):
         lines = fh.read().strip().splitlines()
     assert lines[0].startswith("snapshot\t")
     assert len(lines) == 3
+    counts = dict(line.split("\t") for line in capsys.readouterr().err.splitlines())
+    assert set(counts) == {"key_requests", "keys_sent"}
+    assert 0 < int(counts["keys_sent"]) <= int(counts["key_requests"])
