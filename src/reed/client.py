@@ -88,8 +88,9 @@ class StoreSession:
         return wire.decode_byte_list(body)
 
     def _put_blob(self, msg_type: int, obj_id: str, version: int, blob: bytes,
-                  expected_prev: int | None = None) -> None:
-        self._call(msg_type, wire.encode_blob_put(obj_id, version, blob, expected_prev))
+                  expected_prev: int | None = None, supersede: bool = False) -> None:
+        self._call(msg_type, wire.encode_blob_put(obj_id, version, blob, expected_prev,
+                                                  supersede))
 
     def _get_blob(self, msg_type: int, obj_id: str,
                   version: int | None = None) -> tuple[int, bytes]:
@@ -102,8 +103,11 @@ class StoreSession:
     def get_recipe(self, file_id: str) -> bytes:
         return self._get_blob(wire.MSG_RECIPE, file_id)[1]
 
-    def put_stub(self, file_id: str, version: int, blob: bytes) -> None:
-        self._put_blob(wire.MSG_STUB_FILE, file_id, version, blob)
+    def put_stub(self, file_id: str, version: int, blob: bytes,
+                 supersede: bool = False) -> None:
+        """Store a stub-file version; with supersede, the server then drops
+        every older version, and refuses the put if it would not be current."""
+        self._put_blob(wire.MSG_STUB_FILE, file_id, version, blob, supersede=supersede)
 
     def get_stub(self, file_id: str, version: int | None = None) -> tuple[int, bytes]:
         return self._get_blob(wire.MSG_STUB_FILE, file_id, version)
@@ -399,12 +403,12 @@ def download_to(file_id: str, sink: BinaryIO, *, identity: ClientIdentity,
     """Fetch, verify and write a file to sink one batch at a time; returns
     its size. Aborts on any tampered chunk, after writing the chunks before it."""
     recipe = Recipe.decode(store.get_recipe(file_id))
-    state_version, wrapped = store.get_state(file_id)
-    state = unwrap_state(wrapped, identity.access_key, identity.user_id)
-
+    # Stub first: an active rekey writes stub version v only after state v
+    # commits, and state versions only go up, so the state read next is
+    # never older than the stub (an upload's stub v0 has no state before it).
     stub_version, stub_blob = store.get_stub(file_id)
-    if stub_version > state.version:
-        stub_version, stub_blob = store.get_stub(file_id, state.version)
+    state = unwrap_state(store.get_state(file_id)[1], identity.access_key,
+                         identity.user_id)
     file_key = derive_file_key(unwind_to(state, stub_version))
     stubs = caont.decrypt_stub_file(stub_blob, file_key)
     if len(stubs) != recipe.chunk_count:

@@ -31,7 +31,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import caont
 from .errors import (AccessDenied, AtInitialState, NotFound, NotOwner,
-                     PolicyEmpty, UnknownUser)
+                     PolicyEmpty, UnknownUser, VersionConflict)
 from .keygen import RSAKeyPair
 from .wire import Reader
 
@@ -249,8 +249,11 @@ def rekey(store, *, file_id: str, new_policy: Iterable[str], mode: str,
     The state compare-and-set at the key store is the serialization point;
     in active mode the stub file is re-encrypted under the new file key
     afterwards, so a crash in between leaves a readable file whose stubs
-    are simply one unwind behind. Trimmed packages are never touched.
-    Returns the new state version.
+    are simply one unwind behind. The re-encrypted stub file supersedes
+    every older version, so a revoked member's old file key opens no stub
+    file the server keeps. A stub file already newer than the new state
+    means a later active rekey re-encrypted it, so this one is done.
+    Trimmed packages are never touched. Returns the new state version.
     """
     if mode not in (LAZY, ACTIVE):
         raise ValueError(f"unknown rekey mode {mode!r}")
@@ -275,8 +278,13 @@ def rekey(store, *, file_id: str, new_policy: Iterable[str], mode: str,
 
     if mode == ACTIVE:
         stub_version, stub_blob = store.get_stub(file_id)
+        if stub_version > new.version:
+            return new.version
         old_key = derive_file_key(unwind_to(new, stub_version))
         stubs = caont.decrypt_stub_file(stub_blob, old_key)
         new_blob = caont.encrypt_stub_file(stubs, derive_file_key(new))
-        store.put_stub(file_id, new.version, new_blob)
+        try:
+            store.put_stub(file_id, new.version, new_blob, supersede=True)
+        except VersionConflict:
+            pass  # a later active rekey's stub file is already current
     return new.version

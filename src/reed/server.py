@@ -130,9 +130,11 @@ class ContainerStore:
             os.fsync(self._fh.fileno())
 
     def read_many(self, cid: int, spans: list[tuple[int, int]]) -> list[bytes]:
-        """Read several (offset, length) spans with one container open."""
-        if cid == self._open_id:
-            self.flush()
+        """Read several (offset, length) spans with one container open.
+
+        Every indexed span is already on disk: store_packages flushes and
+        fsyncs the container before it writes the span's index record.
+        """
         out = []
         with open(self._path(cid), "rb") as fh:
             for offset, length in spans:
@@ -151,8 +153,21 @@ class ContainerStore:
             self._fh = None
 
 
+def _fsync_dir(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class BlobStore:
-    """Versioned id-addressed blobs with an atomically advanced CURRENT pointer."""
+    """Versioned id-addressed blobs with an atomically advanced CURRENT pointer.
+
+    A plain put keeps every version. A superseding put, which an active
+    rekey makes for its stub file, removes every older version once the new
+    one is current, so no old version stays on the server to be read.
+    """
 
     def __init__(self, root: str):
         self.root = root
@@ -189,7 +204,7 @@ class BlobStore:
             return None
 
     def put(self, kind: str, obj_id: str, version: int, blob: bytes,
-            expected_prev: int | None = None) -> None:
+            expected_prev: int | None = None, supersede: bool = False) -> None:
         obj_dir = self._obj_dir(kind, obj_id)
         with self._lock:
             os.makedirs(obj_dir, exist_ok=True)
@@ -197,6 +212,10 @@ class BlobStore:
             if expected_prev is not None and current != expected_prev:
                 raise VersionConflict(
                     f"{kind}/{obj_id}: current version is {current}, expected {expected_prev}")
+            if supersede and current is not None and version < current:
+                raise VersionConflict(
+                    f"{kind}/{obj_id}: version {version} cannot supersede current "
+                    f"version {current}")
             path = os.path.join(obj_dir, f"{version:010d}.bin")
             old = os.path.getsize(path) if os.path.exists(path) else 0
             self._atomic_write(path, blob)
@@ -204,6 +223,26 @@ class BlobStore:
             if current is None or version > current:
                 self._atomic_write(os.path.join(obj_dir, "CURRENT"),
                                    str(version).encode("ascii"))
+            if supersede:
+                self._remove_older(kind, obj_dir, version)
+
+    def _remove_older(self, kind: str, obj_dir: str, version: int) -> None:
+        """Unlink every version below ``version``, which is current and durable.
+
+        The directory is fsynced first, so the renames that made the new
+        version and CURRENT durable cannot be lost while an unlink survives.
+        """
+        older = []
+        for name in os.listdir(obj_dir):
+            stem, ext = os.path.splitext(name)
+            if ext == ".bin" and stem.isdigit() and int(stem) < version:
+                older.append(os.path.join(obj_dir, name))
+        if not older:
+            return
+        _fsync_dir(obj_dir)
+        for path in older:
+            self._sizes[kind] -= os.path.getsize(path)
+            os.remove(path)
 
     def get(self, kind: str, obj_id: str, version: int | None = None) -> tuple[int, bytes]:
         obj_dir = self._obj_dir(kind, obj_id)
@@ -278,6 +317,8 @@ class StorageService:
         tmp = self._counters_path + ".tmp"
         with open(tmp, "w") as fh:
             json.dump({"logical_bytes": self._logical}, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, self._counters_path)
 
     # -- operations --------------------------------------------------------
@@ -354,10 +395,14 @@ class StorageService:
         store = self.key_blobs if kind in _KEY_KINDS else self.data_blobs
         if op == wire.BLOB_PUT:
             version = r.u32()
-            expected = r.u32() if r.u8() else None
+            flags = r.u8()
+            if flags & ~(wire.PUT_EXPECTED_PREV | wire.PUT_SUPERSEDE):
+                raise InvalidOperand(f"unknown blob put flags {flags:#04x}")
+            expected = r.u32() if flags & wire.PUT_EXPECTED_PREV else None
             blob = r.bytes_u32()
             r.done()
-            store.put(kind, obj_id, version, blob, expected)
+            store.put(kind, obj_id, version, blob, expected,
+                      supersede=bool(flags & wire.PUT_SUPERSEDE))
             return b""
         if op == wire.BLOB_GET:
             version = r.u32()

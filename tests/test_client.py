@@ -12,8 +12,9 @@ from reed import caont, cli
 from reed.chunking import ChunkingParams
 from reed.client import (ClientIdentity, Connection, StoreSession, download,
                          file_id_for, rekey_file, upload)
-from reed.errors import (AccessDenied, IntegrityViolation, NotOwner,
-                         PolicyEmpty, SchemeNotAllowed, UnknownUser)
+from reed.errors import (AccessDenied, AuthenticationFailure, IntegrityViolation,
+                         NotFound, NotOwner, PolicyEmpty, SchemeNotAllowed,
+                         UnknownUser)
 from reed.keygen import KeySession
 from reed.rekeying import derive_file_key, new_state, unwrap_state, wind
 
@@ -187,6 +188,87 @@ def test_active_rekey_moves_only_stub_bytes(ready, identities, tmp_path):
     with pytest.raises(Exception):
         caont.decrypt_stub_file(new_stub_blob, old_file_key)
     assert download(fid, identity=identities["alice"], store=store) == data
+
+
+def test_member_revoked_by_active_rekey_cannot_read_old_stubs(ready, identities,
+                                                              tmp_path):
+    data = random.Random(9).randbytes(300_000)
+    path = write_file(tmp_path, "f.bin", data)
+    store = ready.store_session()
+    fid = upload(path, policy=["alice", "bob"], identity=identities["alice"],
+                 store=store, keys=ready.key_session())
+    _, wrapped = store.get_state(fid)
+    bob_key = derive_file_key(unwrap_state(wrapped, identities["bob"].access_key, "bob"))
+    rekey_file(fid, new_policy=["alice"], mode="active",
+               identity=identities["alice"], store=store)
+    with pytest.raises(NotFound):
+        store.get_stub(fid, 0)  # the stub file bob's key opened is gone
+    with pytest.raises(AuthenticationFailure):
+        caont.decrypt_stub_file(store.get_stub(fid)[1], bob_key)
+    assert download(fid, identity=identities["alice"], store=store) == data
+
+
+class RekeyAfterRead:
+    """A reader's store: an active rekey lands right after one named read."""
+
+    def __init__(self, store, read, rekey):
+        self._store = store
+        self._read = read
+        self.rekey = rekey
+
+    def __getattr__(self, name):
+        call = getattr(self._store, name)
+        if name != self._read:
+            return call
+
+        def read_then_rekey(*args):
+            got = call(*args)
+            if self.rekey:
+                self.rekey, rekey = None, self.rekey
+                rekey()
+            return got
+        return read_then_rekey
+
+
+@pytest.mark.parametrize("read", ["get_recipe", "get_stub", "get_state"])
+def test_download_survives_a_racing_active_rekey(ready, identities, tmp_path, read):
+    data = random.Random(10).randbytes(150_000)
+    path = write_file(tmp_path, "f.bin", data)
+    store = ready.store_session()
+    fid = upload(path, policy=["alice", "bob"], identity=identities["alice"],
+                 store=store, keys=ready.key_session())
+    for _ in range(2):
+        rekey_file(fid, new_policy=["alice", "bob"], mode="lazy",
+                   identity=identities["alice"], store=store)
+    reader = RekeyAfterRead(
+        ready.store_session(), read,
+        lambda: rekey_file(fid, new_policy=["alice", "bob"], mode="active",
+                           identity=identities["alice"], store=store))
+    assert download(fid, identity=identities["bob"], store=reader) == data
+    assert reader.rekey is None
+    assert store.get_stub(fid)[0] == 3
+    with pytest.raises(NotFound):
+        store.get_stub(fid, 0)
+
+
+def test_stub_bytes_count_only_current_stub_files(ready, identities, tmp_path):
+    store = ready.store_session()
+    fids = []
+    for i in range(2):
+        path = write_file(tmp_path, f"f{i}.bin", random.Random(20 + i).randbytes(120_000))
+        fids.append(upload(path, policy=["alice"], identity=identities["alice"],
+                           store=store, keys=ready.key_session()))
+    for i in range(6):
+        rekey_file(fids[i % 2], new_policy=["alice"], mode="lazy" if i % 3 else "active",
+                   identity=identities["alice"], store=store)
+
+    def current_stub_bytes(session):
+        return sum(len(session.get_stub(fid)[1]) for fid in fids)
+
+    assert store.stats().stub_bytes == current_stub_bytes(store)
+    ready.restart_storage()
+    store = ready.store_session()
+    assert store.stats().stub_bytes == current_stub_bytes(store)
 
 
 def test_rekey_by_non_owner_fails(ready, identities, tmp_path):

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import private_operands
-from reed import caont, rekeying
+from reed import caont, rekeying, wire
 from reed.client import StoreSession
-from reed.errors import (AccessDenied, AtInitialState, NotOwner, PolicyEmpty,
-                         PrivateKeyFault, UnknownUser, VersionConflict)
+from reed.errors import (AccessDenied, AtInitialState, AuthenticationFailure,
+                         NotFound, NotOwner, PolicyEmpty, PrivateKeyFault,
+                         UnknownUser, VersionConflict)
 from reed.rekeying import (DerivationKeyPair, KeyState, derive_file_key,
                            generate_access_keypair, new_state, unwind,
                            unwind_to, unwrap_state, wind, wrap_state,
@@ -269,6 +270,93 @@ def test_active_rekey_reencrypts_stubs(store, owner_keys, access_keys, directory
     assert caont.decrypt_stub_file(new_blob, derive_file_key(new_state_obj)) == stubs
     with pytest.raises(Exception):
         caont.decrypt_stub_file(new_blob, derive_file_key(state))
+
+
+def test_active_rekey_leaves_no_stub_file_for_old_keys(store, owner_keys, access_keys,
+                                                       directory):
+    state, _ = _seed_file(store, owner_keys, access_keys, directory)
+    bob_key = derive_file_key(unwrap_state(store.get_state("file-1")[1],
+                                           access_keys["bob"], "bob"))
+    for mode in ("lazy", "active"):
+        rekeying.rekey(store, file_id="file-1", new_policy=["alice"], mode=mode,
+                       user_id="alice", access_private_key=access_keys["alice"],
+                       derivation=owner_keys)
+    current, _ = store.get_stub("file-1")
+    assert current == 2
+    for version in range(current):
+        with pytest.raises(NotFound):
+            store.get_stub("file-1", version)
+    with pytest.raises(AuthenticationFailure):
+        caont.decrypt_stub_file(store.get_stub("file-1")[1], bob_key)
+
+
+class RekeyInsideGetStub:
+    """A store whose first stub read runs another rekey, before or after it reads."""
+
+    def __init__(self, store, rekey, first):
+        self._store = store
+        self.rekey = rekey
+        self.first = first
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def get_stub(self, file_id, version=None):
+        rekey, self.rekey = self.rekey, None
+        if rekey and self.first:
+            rekey()
+        got = self._store.get_stub(file_id, version)
+        if rekey and not self.first:
+            rekey()
+        return got
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["before-read", "after-read"])
+def test_overtaken_active_rekey_succeeds(store, owner_keys, access_keys, directory,
+                                         first):
+    _, stubs = _seed_file(store, owner_keys, access_keys, directory)
+
+    def active(on):
+        return rekeying.rekey(on, file_id="file-1", new_policy=["alice"], mode="active",
+                              user_id="alice", access_private_key=access_keys["alice"],
+                              derivation=owner_keys)
+
+    racing = RekeyInsideGetStub(store, lambda: active(store), first)
+    assert active(racing) == 1  # overtaken after its state commit, and not an error
+    assert racing.rekey is None
+    version, blob = store.get_stub("file-1")
+    assert version == 2
+    for old in (0, 1):
+        with pytest.raises(NotFound):
+            store.get_stub("file-1", old)
+    state = unwrap_state(store.get_state("file-1")[1], access_keys["alice"], "alice")
+    assert caont.decrypt_stub_file(blob, derive_file_key(state)) == stubs
+
+
+class CountingBackend:
+    def __init__(self, backend):
+        self._backend = backend
+        self.sent = []
+
+    def request(self, msg_type, payload):
+        self.sent.append((msg_type, payload[0]))
+        return self._backend.request(msg_type, payload)
+
+
+def test_active_rekey_adds_no_request(tmp_path, owner_keys, access_keys, directory):
+    service = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
+    backend = CountingBackend(LocalBackend(service))
+    store = StoreSession(backend)
+    _seed_file(store, owner_keys, access_keys, directory)
+    backend.sent.clear()
+    rekeying.rekey(store, file_id="file-1", new_policy=["alice", "bob"], mode="active",
+                   user_id="alice", access_private_key=access_keys["alice"],
+                   derivation=owner_keys)
+    service.close()
+    get, put = wire.BLOB_GET, wire.BLOB_PUT
+    assert backend.sent == [
+        (wire.MSG_WRAPPED_STATE, get), (wire.MSG_USER_KEY, get), (wire.MSG_USER_KEY, get),
+        (wire.MSG_WRAPPED_STATE, put), (wire.MSG_STUB_FILE, get), (wire.MSG_STUB_FILE, put)]
 
 
 def test_rekey_revokes_absent_users(store, owner_keys, access_keys, directory):

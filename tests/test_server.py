@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import json
 import os
 import random
 import socket
@@ -140,6 +142,98 @@ def test_stub_accounting_replaces_same_version(session):
     assert session.stats().stub_bytes == 180
 
 
+# -- superseding puts ---------------------------------------------------------------
+
+
+def stub_dir(tmp_path, file_id: str) -> str:
+    return str(tmp_path / "data" / "blobs" / "stub" / file_id.encode().hex())
+
+
+def test_superseding_put_removes_older_versions(session, tmp_path):
+    session.put_stub("f", 0, b"a" * 100)
+    session.put_stub("f", 1, b"b" * 90)
+    session.put_stub("f", 2, b"c" * 80, supersede=True)
+    assert session.get_stub("f") == (2, b"c" * 80)
+    for old in (0, 1):
+        with pytest.raises(NotFound):
+            session.get_stub("f", old)
+    assert sorted(os.listdir(stub_dir(tmp_path, "f"))) == ["0000000002.bin", "CURRENT"]
+    assert session.stats().stub_bytes == 80
+
+
+def test_superseding_put_of_the_current_version_replaces_it(session):
+    session.put_stub("f", 0, b"a" * 100)
+    session.put_stub("f", 1, b"b" * 90)
+    session.put_stub("f", 1, b"c" * 70, supersede=True)  # a retried active rekey
+    assert session.get_stub("f") == (1, b"c" * 70)
+    assert session.stats().stub_bytes == 70
+
+
+def test_stub_bytes_recounted_after_superseding_puts(tmp_path):
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    svc = StorageService(data_root, key_root)
+    session = StoreSession(LocalBackend(svc))
+    for version in range(4):
+        session.put_stub("f", version, bytes(100 + version), supersede=version % 2 == 1)
+    session.put_stub("g", 0, bytes(50))
+    before = session.stats().stub_bytes
+    assert before == 103 + 50
+    svc.close()
+    svc2 = StorageService(data_root, key_root)
+    assert StoreSession(LocalBackend(svc2)).stats().stub_bytes == before
+    svc2.close()
+
+
+def test_superseding_put_syncs_before_it_unlinks(session, tmp_path, monkeypatch):
+    session.put_stub("f", 0, b"old")
+    events = []
+    real_fsync, real_remove = os.fsync, os.remove
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def remove(path):
+        events.append(("remove", os.path.basename(path)))
+        real_remove(path)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "remove", remove)
+    session.put_stub("f", 1, b"new", supersede=True)
+    obj_dir = stub_dir(tmp_path, "f")
+    inode = {name: os.stat(os.path.join(obj_dir, name)).st_ino
+             for name in ("0000000001.bin", "CURRENT")}
+    inode["dir"] = os.stat(obj_dir).st_ino
+    assert events == [("fsync", inode["0000000001.bin"]), ("fsync", inode["CURRENT"]),
+                      ("fsync", inode["dir"]), ("remove", "0000000000.bin")]
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_supersede_below_current_and_unknown_flags_are_refused(service, transport):
+    with contextlib.ExitStack() as stack:
+        backend = LocalBackend(service)
+        if transport == "tcp":
+            server = FrameServer(service).start()
+            stack.callback(server.stop)
+            backend = stack.enter_context(Connection(*server.address))
+        session = StoreSession(backend)
+        session.put_stub("f", 0, b"v0")
+        session.put_stub("f", 2, b"v2")
+        with pytest.raises(VersionConflict):
+            session.put_stub("f", 1, b"v1", supersede=True)
+        with pytest.raises(VersionConflict):  # a version-0 re-upload wipes nothing
+            session.put_stub("f", 0, b"again", supersede=True)
+        assert session.get_stub("f", 0) == (0, b"v0")
+        assert session.get_stub("f") == (2, b"v2")
+        payload = bytearray(wire.encode_blob_put("f", 3, b"v3"))
+        flags_at = 1 + 4 + len(b"f") + 4
+        for bad in (0x04, 0x80, 0x07):
+            payload[flags_at] = bad
+            with pytest.raises(InvalidOperand, match="flags"):
+                wire.call(backend, wire.MSG_STUB_FILE, bytes(payload))
+        assert session.get_stub("f") == (2, b"v2")
+
+
 def test_key_material_never_under_data_root(service, session, tmp_path):
     session.put_recipe("f", b"r")
     session.put_stub("f", 0, b"s")
@@ -252,6 +346,39 @@ def test_restart_removes_container_left_by_rotation(tmp_path):
     assert session2.get_packages(fps) == [data for _, data in everything]
     assert session2.stats().container_count == 2
     svc2.close()
+
+
+def test_reading_the_open_container_issues_no_fsync(session, monkeypatch):
+    items = [item(os.urandom(700 + i)) for i in range(5)]
+    session.put_packages(items)
+    calls = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real_fsync(fd))
+    assert session.get_packages([fp for fp, _ in items]) == [d for _, d in items]
+    assert calls == []
+
+
+def test_counters_are_fsynced_before_they_replace_the_old_file(service, session,
+                                                                monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    session.put_packages([item(os.urandom(500))])
+    at = next(i for i, e in enumerate(events)
+              if e[0] == "replace" and e[2] == "counters.json")
+    assert events[at - 1] == ("fsync", events[at][1])
+    with open(service._counters_path) as fh:
+        assert json.load(fh) == {"logical_bytes": 500}
 
 
 # -- TCP framing --------------------------------------------------------------------------
