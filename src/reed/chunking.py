@@ -43,7 +43,6 @@ class ChunkingParams:
     min_size: int = 2048
     avg_size: int = 8192
     max_size: int = 16384
-    window: int = ROLLING_WINDOW
 
     def __post_init__(self):
         if self.mode not in ("fixed", "rabin"):
@@ -52,8 +51,13 @@ class ChunkingParams:
             raise ValueError("fixed_size must be >= 1")
         if not (1 <= self.min_size <= self.avg_size <= self.max_size):
             raise ValueError("need 1 <= min_size <= avg_size <= max_size")
-        if self.mode == "rabin" and self.min_size < self.window:
+        if self.mode == "rabin" and self.min_size < ROLLING_WINDOW:
             raise ValueError("min_size must be at least the rolling window")
+
+    @property
+    def expected_size(self) -> int:
+        """The mean chunk size segmentation plans for."""
+        return self.avg_size if self.mode == "rabin" else self.fixed_size
 
     @property
     def boundary_mask(self) -> int:
@@ -202,7 +206,7 @@ def rabin_chunk(data: bytes, params: ChunkingParams) -> list[Chunk]:
     n = len(data)
     if n == 0:
         return []
-    candidates = _boundary_candidates(data, params.window,
+    candidates = _boundary_candidates(data, ROLLING_WINDOW,
                                       params.boundary_mask).tolist()
     view = memoryview(data)
     chunks = []

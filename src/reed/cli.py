@@ -143,9 +143,7 @@ def _run(args, cfg: Config) -> int:
                 scheme=caont.SCHEME_IDS[scheme_name],
                 keying=keying,
                 chunk_params=chunk_params,
-                seg_params=cfg.segment_params,
-                allow_basic_with_similarity=cfg.getbool(
-                    "client", "allow_basic_with_similarity"),
+                seg_params=cfg.segment_params(chunk_params),
             )
         print(file_id)
         return EXIT_OK

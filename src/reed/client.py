@@ -22,14 +22,13 @@ from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import rsa
 
 from . import caont, wire
-from .chunking import (Chunk, ChunkingParams, SegmentationParams, chunk_stream,
-                       fingerprint, segment)
-from .errors import (IntegrityViolation, PolicyEmpty, SchemeNotAllowed,
-                     TransportError, UnknownUser, NotFound)
+from .chunking import (Chunk, ChunkingParams, Segment, SegmentationParams,
+                       chunk_stream, fingerprint, segment)
+from .errors import IntegrityViolation, SchemeNotAllowed, TransportError
 from .keygen import KeySession
 from .rekeying import (DerivationKeyPair, access_public_pem, derive_file_key,
-                       generate_access_keypair, load_access_public, new_state,
-                       unwind_to, unwrap_state, wrap_state)
+                       generate_access_keypair, new_state, unwind_to, unwrap_state,
+                       wrap_state)
 from . import rekeying
 from .server import ServerStats
 
@@ -298,11 +297,12 @@ def _keyed_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], keying: str,
                   ) -> Iterator[tuple[Chunk, bytes, int]]:
     """(chunk, key, segment index) in file order, with one key request per block.
 
+    Every chunk takes the key of its segment's representative fingerprint.
     Under similarity keying a block's chunks are segmented after the chunks
     of the still-open segment. Every segment but the last is sealed, since
     segment boundaries depend only on the chunks since the last boundary;
     the last stays open for the next block. Under chunk keying every chunk
-    is its own segment.
+    is its own segment, represented by its own fingerprint.
     """
     open_pairs: list = []
     index = 0
@@ -312,18 +312,16 @@ def _keyed_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], keying: str,
         if not pairs:
             continue
         if keying == KEYING_CHUNK:
-            chunk_keys = keys.keys_for_fingerprints([fp for _, fp in pairs])
-            for (chunk, _), key in zip(pairs, chunk_keys):
-                yield chunk, key, index
-                index += 1
-            del pairs
-            continue
-        segments = segment(pairs, seg_params)
+            segments = [Segment(chunks=[pair], total_bytes=pair[0].length,
+                                representative=pair[1]) for pair in pairs]
+        else:
+            segments = segment(pairs, seg_params)
+            open_pairs = [] if last else segments.pop().chunks
         del pairs
-        open_pairs = [] if last else segments.pop().chunks
         if not segments:
             continue
-        for seg, key in zip(segments, keys.segment_keys(segments)):
+        seg_keys = keys.keys_for_fingerprints([s.representative for s in segments])
+        for seg, key in zip(segments, seg_keys):
             for chunk, _ in seg.chunks:
                 yield chunk, key, index
             index += 1
@@ -357,28 +355,17 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
            scheme: int = caont.SCHEME_ENHANCED,
            keying: str = KEYING_SIMILARITY,
            chunk_params: ChunkingParams | None = None,
-           seg_params: SegmentationParams | None = None,
-           allow_basic_with_similarity: bool = False) -> str:
+           seg_params: SegmentationParams | None = None) -> str:
     """Run the full upload pipeline; returns the file id."""
-    members = sorted(set(policy))
-    if not members:
-        raise PolicyEmpty("upload requires a non-empty policy")
-    if (scheme == caont.SCHEME_BASIC and keying == KEYING_SIMILARITY
-            and not allow_basic_with_similarity):
+    if scheme == caont.SCHEME_BASIC and keying == KEYING_SIMILARITY:
         raise SchemeNotAllowed(
             "the basic scheme is refused under segment keying: one shared mask "
             "key leaks chunk XORs; use the enhanced scheme or per-chunk keying")
     chunk_params = chunk_params or ChunkingParams()
     seg_params = seg_params or SegmentationParams(
-        avg_chunk_size=chunk_params.avg_size if chunk_params.mode == "rabin"
-        else chunk_params.fixed_size)
-
-    directory = {}
-    for uid in members:
-        try:
-            directory[uid] = load_access_public(store.get_user_key(uid))
-        except NotFound:
-            raise UnknownUser(f"no registered public access key for {uid!r}") from None
+        avg_chunk_size=chunk_params.expected_size)
+    # refused here, before any package is sent
+    directory = rekeying.resolve_policy(store, policy)
 
     file_id = file_id_for(identity.user_id, path)
     with open(path, "rb") as fh:
@@ -388,7 +375,7 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
 
     state = new_state(identity.user_id, identity.derivation)
     stub_blob = caont.encrypt_stub_file(stubs, derive_file_key(state))
-    wrapped = wrap_state(state, members, directory)
+    wrapped = wrap_state(state, directory.keys(), directory)
     recipe = Recipe(file_id=file_id, pathname=path,
                     size=sum(length for _, length, _ in entries), scheme=scheme,
                     keying=keying, state_version=state.version, entries=entries)

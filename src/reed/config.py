@@ -2,8 +2,7 @@
 
 Documented keys (all optional; defaults shown in DEFAULTS below):
 
-    [client]  server, manager, identity_dir, scheme, keying,
-              allow_basic_with_similarity
+    [client]  server, manager, identity_dir, scheme, keying
     [chunk]   mode, fixed_size, min_size, avg_size, max_size
     [segment] avg_size
     [server]  listen, data_root, key_root, container_size
@@ -28,7 +27,6 @@ DEFAULTS = {
         "identity_dir": "./reed-identity",
         "scheme": "enhanced",
         "keying": "similarity",
-        "allow_basic_with_similarity": "false",
     },
     "chunk": {
         "mode": "rabin",
@@ -93,9 +91,6 @@ class Config:
     def getint(self, section: str, key: str) -> int:
         return parse_size(self.parser.get(section, key))
 
-    def getbool(self, section: str, key: str) -> bool:
-        return self.parser.getboolean(section, key)
-
     @property
     def chunk_params(self) -> ChunkingParams:
         return ChunkingParams(
@@ -106,9 +101,7 @@ class Config:
             max_size=self.getint("chunk", "max_size"),
         )
 
-    @property
-    def segment_params(self) -> SegmentationParams:
-        chunk = self.chunk_params
-        avg_chunk = chunk.avg_size if chunk.mode == "rabin" else chunk.fixed_size
+    def segment_params(self, chunk: ChunkingParams) -> SegmentationParams:
+        """Segmentation planned for the chunking actually used."""
         return SegmentationParams(avg_size=self.getint("segment", "avg_size"),
-                                  avg_chunk_size=avg_chunk)
+                                  avg_chunk_size=chunk.expected_size)

@@ -82,7 +82,7 @@ class VersionConflict(ReedError):
 
 
 class StorageUnavailable(ReedError):
-    """The storage backend could not complete a durable write."""
+    """A service failed internally; every ERR_INTERNAL reply raises this."""
 
 
 # -- transport / tooling ---------------------------------------------------------

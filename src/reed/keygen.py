@@ -8,8 +8,8 @@ The manager never sees the fingerprint; the client never sees ``d``; equal
 fingerprints give equal keys across clients, which is what makes the
 resulting ciphertexts deduplicable.
 
-In similarity mode a single request per segment is issued, using the
-segment's minimum fingerprint as its representative.
+Keys are requested per fingerprint: a chunk's own, or in similarity mode
+the minimum fingerprint that represents the chunk's segment.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import rsa
 
 from . import wire
-from .chunking import Segment
 from .errors import (InvalidOperand, PrivateKeyFault, RateLimited, SignatureInvalid,
                      TransportError, ZeroFingerprint)
 
@@ -240,9 +239,6 @@ class KeyManagerService:
     def signed_count(self) -> int:
         return self._signed_count
 
-    def sign(self, blinded: int, client_id: str) -> int:
-        return self.sign_batch([blinded], client_id)[0]
-
     def sign_batch(self, values: list[int], client_id: str) -> list[int]:
         """Element-wise signature; consumes one limiter token per value."""
         if len(values) > self.batch_cap:
@@ -344,13 +340,3 @@ class KeySession:
                     cache.popitem(last=False)
         self.request_count += len(fps)
         return [keys[fp] for fp in fps]
-
-    def key_for_fingerprint(self, fp: bytes) -> bytes:
-        return self.keys_for_fingerprints([fp])[0]
-
-    def segment_key(self, seg: Segment) -> bytes:
-        """Key a whole segment by its minimum (representative) fingerprint."""
-        return self.key_for_fingerprint(seg.representative)
-
-    def segment_keys(self, segments: Iterable[Segment]) -> list[bytes]:
-        return self.keys_for_fingerprints([s.representative for s in segments])

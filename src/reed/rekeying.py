@@ -159,6 +159,22 @@ _OAEP = padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
                      algorithm=hashes.SHA256(), label=None)
 
 
+def resolve_policy(store, policy: Iterable[str]) -> dict[str, rsa.RSAPublicKey]:
+    """Each member's registered public access key, keyed by member in sorted
+    order; PolicyEmpty if the policy names nobody, UnknownUser if a member
+    has no registered key."""
+    members = sorted(set(policy))
+    if not members:
+        raise PolicyEmpty("policy must authorize at least one user")
+    directory = {}
+    for uid in members:
+        try:
+            directory[uid] = load_access_public(store.get_user_key(uid))
+        except NotFound:
+            raise UnknownUser(f"no registered public access key for {uid!r}") from None
+    return directory
+
+
 def wrap_state(state: KeyState, policy: Iterable[str],
                directory: Mapping[str, rsa.RSAPublicKey]) -> bytes:
     """Wrap a state under an any-of policy over user identifiers.
@@ -257,23 +273,14 @@ def rekey(store, *, file_id: str, new_policy: Iterable[str], mode: str,
     """
     if mode not in (LAZY, ACTIVE):
         raise ValueError(f"unknown rekey mode {mode!r}")
-    members = sorted(set(new_policy))
-    if not members:
-        raise PolicyEmpty("policy must authorize at least one user")
 
     current_version, wrapped = store.get_state(file_id)
     state = unwrap_state(wrapped, access_private_key, user_id)
     if state.owner_id != user_id:
         raise NotOwner(f"{user_id!r} does not own this file")
     new = wind(state, derivation)
-
-    directory = {}
-    for uid in members:
-        try:
-            directory[uid] = load_access_public(store.get_user_key(uid))
-        except NotFound:
-            raise UnknownUser(f"no registered public access key for {uid!r}") from None
-    new_wrapped = wrap_state(new, members, directory)
+    directory = resolve_policy(store, new_policy)
+    new_wrapped = wrap_state(new, directory.keys(), directory)
     store.put_state(file_id, new.version, new_wrapped, expected_prev=current_version)
 
     if mode == ACTIVE:

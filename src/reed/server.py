@@ -39,6 +39,12 @@ class FingerprintIndex:
             for off in range(0, usable, _INDEX_RECORD.size):
                 fp, cid, coff, length = _INDEX_RECORD.unpack_from(data, off)
                 self._table[fp] = (cid, coff, length)
+            if usable < len(data):
+                # A partial record is the tail of a batch that was never
+                # acknowledged; appending after it would misalign every
+                # later record.
+                with open(path, "r+b") as fh:
+                    fh.truncate(usable)
         self._fh = open(path, "ab")
 
     def __len__(self) -> int:
@@ -153,6 +159,16 @@ class ContainerStore:
             self._fh = None
 
 
+def _atomic_write(path: str, data: bytes) -> None:
+    """Replace path with data, which is fsynced before the rename."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def _fsync_dir(path: str) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -187,15 +203,6 @@ class BlobStore:
     def _obj_dir(self, kind: str, obj_id: str) -> str:
         return os.path.join(self.root, kind, obj_id.encode("utf-8").hex())
 
-    @staticmethod
-    def _atomic_write(path: str, data: bytes) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-
     def _current(self, obj_dir: str) -> int | None:
         try:
             with open(os.path.join(obj_dir, "CURRENT"), "rb") as fh:
@@ -218,11 +225,11 @@ class BlobStore:
                     f"version {current}")
             path = os.path.join(obj_dir, f"{version:010d}.bin")
             old = os.path.getsize(path) if os.path.exists(path) else 0
-            self._atomic_write(path, blob)
+            _atomic_write(path, blob)
             self._sizes[kind] = self._sizes.get(kind, 0) + len(blob) - old
             if current is None or version > current:
-                self._atomic_write(os.path.join(obj_dir, "CURRENT"),
-                                   str(version).encode("ascii"))
+                _atomic_write(os.path.join(obj_dir, "CURRENT"),
+                              str(version).encode("ascii"))
             if supersede:
                 self._remove_older(kind, obj_dir, version)
 
@@ -314,12 +321,8 @@ class StorageService:
         self.index.close()
 
     def _persist_counters(self) -> None:
-        tmp = self._counters_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({"logical_bytes": self._logical}, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._counters_path)
+        _atomic_write(self._counters_path,
+                      json.dumps({"logical_bytes": self._logical}).encode("ascii"))
 
     # -- operations --------------------------------------------------------
 
@@ -329,6 +332,10 @@ class StorageService:
             if hashlib.sha256(data).digest() != fp:
                 raise FingerprintMismatch(
                     f"package does not hash to {fp.hex()}; batch rejected")
+            if len(data) > self.containers.capacity:
+                raise InvalidOperand(
+                    f"package of {len(data)} bytes exceeds the container size "
+                    f"{self.containers.capacity}; batch rejected")
         with self._lock:
             records = []
             seen: set[bytes] = set()

@@ -13,6 +13,7 @@ Text format: one record per line as ``fp_hex<TAB>size``; lines beginning
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import tempfile
@@ -25,7 +26,7 @@ from .client import KEYING_CHUNK, KEYING_SIMILARITY, StoreSession, store_chunks
 from .errors import TraceParseError
 from .keygen import KeyManagerService, KeySession, ManagerKeyPair
 from .rekeying import DerivationKeyPair, derive_file_key, new_state
-from .server import StorageService
+from .server import ServerStats, StorageService
 from .wire import LocalBackend
 
 MODE_CHUNK = KEYING_CHUNK
@@ -40,35 +41,21 @@ class TraceRecord:
 
 
 @dataclass
-class SnapshotRow:
-    snapshot: int
-    logical: int
-    physical: int
-    stub: int
-
-    @property
-    def saving(self) -> float:
-        if self.logical == 0:
-            return 0.0
-        return 1.0 - (self.physical + self.stub) / self.logical
-
-
-@dataclass
 class SavingsReport:
     mode: str
-    rows: list[SnapshotRow] = field(default_factory=list)
+    rows: list[ServerStats] = field(default_factory=list)  # after each snapshot
     key_requests: int = 0  # keys resolved, one per chunk or segment
     keys_sent: int = 0  # of those, the ones the manager signed; the rest hit the cache
 
     @property
-    def totals(self) -> SnapshotRow:
+    def totals(self) -> ServerStats:
         return self.rows[-1]
 
     def to_tsv(self) -> str:
         lines = ["snapshot\tlogical\tphysical\tstub\tsaving"]
-        for row in self.rows:
-            lines.append(f"{row.snapshot}\t{row.logical}\t{row.physical}"
-                         f"\t{row.stub}\t{row.saving:.6f}")
+        for snapshot, row in enumerate(self.rows):
+            lines.append(f"{snapshot}\t{row.logical_bytes}\t{row.physical_bytes}"
+                         f"\t{row.stub_bytes}\t{row.saving:.6f}")
         return "\n".join(lines) + "\n"
 
 
@@ -175,18 +162,21 @@ def replay(snapshots: list[list[TraceRecord]], mode: str,
     """
     if mode not in (MODE_CHUNK, MODE_SIMILARITY):
         raise ValueError(f"unknown keying mode {mode!r}")
-    workdir = workdir or tempfile.mkdtemp(prefix="reed-trace-")
-    service = StorageService(os.path.join(workdir, "data"),
-                             os.path.join(workdir, "keys"))
     manager = KeyManagerService(ManagerKeyPair.generate())
     keys = KeySession(LocalBackend(manager))
-    store = StoreSession(LocalBackend(service))
     owner_keys = DerivationKeyPair.generate()
     seg_params = SegmentationParams(avg_size=avg_segment_size,
                                     avg_chunk_size=avg_chunk_size)
 
     report = SavingsReport(mode=mode)
-    try:
+    with contextlib.ExitStack() as cleanup:
+        if workdir is None:  # removed on return; a caller's directory is kept
+            workdir = cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="reed-trace-"))
+        service = StorageService(os.path.join(workdir, "data"),
+                                 os.path.join(workdir, "keys"))
+        cleanup.callback(service.close)
+        store = StoreSession(LocalBackend(service))
         for snap_idx, records in enumerate(snapshots):
             chunks = [Chunk(synthesize_chunk(r.fp_hex, r.size)) for r in records]
             _, stubs = store_chunks([(chunks, True)], keying=mode, keys=keys,
@@ -196,14 +186,7 @@ def replay(snapshots: list[list[TraceRecord]], mode: str,
             state = new_state("trace", owner_keys)
             stub_blob = caont.encrypt_stub_file(stubs, derive_file_key(state))
             store.put_stub(f"trace-{snap_idx:06d}", 0, stub_blob)
-
-            stats = store.stats()
-            report.rows.append(SnapshotRow(snapshot=snap_idx,
-                                           logical=stats.logical_bytes,
-                                           physical=stats.physical_bytes,
-                                           stub=stats.stub_bytes))
-        report.key_requests = keys.request_count
-        report.keys_sent = keys.sent_count
-    finally:
-        service.close()
+            report.rows.append(store.stats())
+    report.key_requests = keys.request_count
+    report.keys_sent = keys.sent_count
     return report

@@ -1,4 +1,6 @@
+import glob
 import os
+import tempfile
 
 import pytest
 from hypothesis import strategies as st
@@ -7,6 +9,18 @@ from reed.client import (ClientIdentity, Connection, StoreSession,
                          register_identity)
 from reed.keygen import KeyManagerService, KeySession, ManagerKeyPair
 from reed.server import FrameServer, StorageService
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_trace_dirs():
+    """Fail the run if it leaves a new reed-trace-* directory in the temp dir."""
+    def trace_dirs():
+        return set(glob.glob(os.path.join(tempfile.gettempdir(), "reed-trace-*")))
+
+    before = trace_dirs()
+    yield
+    leaked = sorted(trace_dirs() - before)
+    assert not leaked, f"the run left trace work directories behind: {leaked}"
 
 
 def private_operands(keys):

@@ -125,13 +125,13 @@ def test_criterion_04_oprf_matches_direct_exponentiation(manager_keypair):
         expected = hashlib.sha256(
             pow(int.from_bytes(fp, "big"), manager_keypair.d,
                 manager_keypair.n).to_bytes(width, "big")).digest()
-        assert session.key_for_fingerprint(fp) == expected
+        assert session.keys_for_fingerprints([fp])[0] == expected
     fp = rng.randbytes(32)
     first = blind(fp, manager_keypair.public)
     second = blind(fp, manager_keypair.public)
     assert first.value != second.value
-    assert unblind(service.sign(first.value, "a"), first) == \
-        unblind(service.sign(second.value, "b"), second)
+    assert unblind(service.sign_batch([first.value], "a")[0], first) == \
+        unblind(service.sign_batch([second.value], "b")[0], second)
     report(4, "key protocol equals direct RSA oracle, blinding-independent")
 
 
@@ -299,9 +299,9 @@ def test_criterion_08_extreme_binning_dedup_law():
     rep = replay([snap], MODE_SIMILARITY, avg_segment_size=4 * size,
                  avg_chunk_size=size)
     assert rep.key_requests == 3  # segments keyed A, D, A
-    assert rep.totals.physical == 9 * size  # A, B, C once; D twice
-    assert rep.totals.physical == brute_force_physical([snap], MODE_SIMILARITY,
-                                                       params)
+    assert rep.totals.physical_bytes == 9 * size  # A, B, C once; D twice
+    assert rep.totals.physical_bytes == brute_force_physical([snap], MODE_SIMILARITY,
+                                                             params)
 
     # oracle equivalence over a generated trace of at most 1,000 chunks
     trace = generate_trace(seed=0x5EED08, snapshots=4, chunks_per_snapshot=120,
@@ -312,7 +312,7 @@ def test_criterion_08_extreme_binning_dedup_law():
         want = brute_force_physical(trace, mode,
                                     SegmentationParams(avg_size=32768,
                                                        avg_chunk_size=8192))
-        assert got.totals.physical == want
+        assert got.totals.physical_bytes == want
     report(8, "extreme-binning A/D/A law and brute-force oracle equivalence")
 
 
@@ -322,8 +322,8 @@ def test_criterion_09_exact_duplicate_snapshot():
     rep = replay([snap, snap], MODE_SIMILARITY, avg_segment_size=131072,
                  avg_chunk_size=8192)
     first, second = rep.rows
-    assert second.physical - first.physical == 0
-    assert second.stub - first.stub == 64 * len(snap) + caont.STUB_FILE_OVERHEAD
+    assert second.physical_bytes - first.physical_bytes == 0
+    assert second.stub_bytes - first.stub_bytes == 64 * len(snap) + caont.STUB_FILE_OVERHEAD
     report(9, "duplicate snapshot adds 0 physical and 64*n+28 stub bytes")
 
 
@@ -333,8 +333,8 @@ def test_criterion_10_mode_comparison_ordering():
     params = SegmentationParams()
     sim = replay(trace, MODE_SIMILARITY)
     chunk = replay(trace, MODE_CHUNK)
-    assert sim.totals.physical >= chunk.totals.physical
-    assert sim.totals.stub == chunk.totals.stub
+    assert sim.totals.physical_bytes >= chunk.totals.physical_bytes
+    assert sim.totals.stub_bytes == chunk.totals.stub_bytes
     assert chunk.totals.saving > 0.80
     # Similarity keying is not held to the chunk-keying floor: a segment keeps
     # its minimum fingerprint, and so its key, with probability about its
@@ -342,10 +342,10 @@ def test_criterion_10_mode_comparison_ordering():
     # changed representative re-encrypts the whole segment. It is held to
     # storing exactly the distinct (content, min-fingerprint key) pairs,
     # in exchange for one key request per segment instead of per chunk.
-    assert sim.totals.physical == brute_force_physical(trace, MODE_SIMILARITY,
-                                                       params)
-    assert chunk.totals.physical == brute_force_physical(trace, MODE_CHUNK,
-                                                         params)
+    assert sim.totals.physical_bytes == brute_force_physical(trace, MODE_SIMILARITY,
+                                                             params)
+    assert chunk.totals.physical_bytes == brute_force_physical(trace, MODE_CHUNK,
+                                                               params)
     segments = 0
     for snap in trace:
         chunks = [synthesize_chunk(r.fp_hex, r.size) for r in snap]

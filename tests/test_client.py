@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import json
@@ -83,12 +84,6 @@ def test_basic_scheme_refused_under_segment_keying(ready, identities, tmp_path):
         upload(path, policy=["alice"], identity=identities["alice"],
                store=ready.store_session(), keys=ready.key_session(),
                scheme=caont.SCHEME_BASIC)
-    # benchmarking override
-    fid = upload(path, policy=["alice"], identity=identities["alice"],
-                 store=ready.store_session(), keys=ready.key_session(),
-                 scheme=caont.SCHEME_BASIC, allow_basic_with_similarity=True)
-    assert download(fid, identity=identities["alice"],
-                    store=ready.store_session()) == b"data"
 
 
 def test_empty_policy_rejected(ready, identities, tmp_path):
@@ -96,6 +91,7 @@ def test_empty_policy_rejected(ready, identities, tmp_path):
     with pytest.raises(PolicyEmpty):
         upload(path, policy=[], identity=identities["alice"],
                store=ready.store_session(), keys=ready.key_session())
+    assert ready.service.stats().logical_bytes == 0  # refused before any package
 
 
 def test_unregistered_policy_member_rejected(ready, identities, tmp_path):
@@ -103,6 +99,7 @@ def test_unregistered_policy_member_rejected(ready, identities, tmp_path):
     with pytest.raises(UnknownUser):
         upload(path, policy=["alice", "mallory"], identity=identities["alice"],
                store=ready.store_session(), keys=ready.key_session())
+    assert ready.service.stats().logical_bytes == 0  # refused before any package
 
 
 def test_duplicate_content_adds_no_container_bytes(ready, identities, tmp_path):
@@ -502,3 +499,16 @@ def test_cli_failed_download_leaves_no_partial_file(ready, tmp_path, capsys):
     assert os.listdir(out_dir) == ["kept.bin"]
     with open(kept, "rb") as fh:
         assert fh.read() == data
+
+
+def test_cli_upload_segments_for_the_chunking_it_uses(tmp_path, monkeypatch):
+    config = tmp_path / "reed.ini"
+    config.write_text("[chunk]\nfixed_size = 4096\n")
+    seen = {}
+    monkeypatch.setattr(cli, "_identity", lambda cfg: None)
+    monkeypatch.setattr(cli, "_store_session", lambda cfg: contextlib.nullcontext())
+    monkeypatch.setattr(cli, "_key_session", lambda cfg: contextlib.nullcontext())
+    monkeypatch.setattr(cli, "upload", lambda path, **kw: seen.update(kw) or "fid")
+    assert cli.main(["--config", str(config), "upload", "f", "--policy", "a", "--fixed"]) == 0
+    assert (seen["chunk_params"].mode, seen["chunk_params"].fixed_size) == ("fixed", 4096)
+    assert seen["seg_params"].avg_chunk_size == 4096

@@ -41,14 +41,14 @@ def direct_key(pair: ManagerKeyPair, fp: bytes) -> bytes:
 def test_protocol_matches_direct_exponentiation(pair, session):
     for _ in range(10):
         fp = os.urandom(32)
-        assert session.key_for_fingerprint(fp) == direct_key(pair, fp)
+        assert session.keys_for_fingerprints([fp])[0] == direct_key(pair, fp)
 
 
 def test_same_fingerprint_two_blindings_same_key(pair, service):
     # two sessions, so that the second key is not served from the first's cache
     one, two = KeySession(LocalBackend(service)), KeySession(LocalBackend(service))
     fp = os.urandom(32)
-    assert one.key_for_fingerprint(fp) == two.key_for_fingerprint(fp)
+    assert one.keys_for_fingerprints([fp])[0] == two.keys_for_fingerprints([fp])[0]
     assert one.sent_count == two.sent_count == 1
 
 
@@ -72,20 +72,20 @@ def test_blind_rejects_zero_fingerprint(pair):
 
 
 def test_sign_one_is_fixed_point(pair, service):
-    assert service.sign(1, "c") == 1
+    assert service.sign_batch([1], "c")[0] == 1
 
 
 def test_sign_rejects_out_of_range(pair, service):
     with pytest.raises(InvalidOperand):
-        service.sign(0, "c")
+        service.sign_batch([0], "c")
     with pytest.raises(InvalidOperand):
-        service.sign(pair.n, "c")
+        service.sign_batch([pair.n], "c")
 
 
 def test_unblind_detects_tampering(pair, service):
     fp = os.urandom(32)
     req = blind(fp, pair.public)
-    signed = service.sign(req.value, "c")
+    signed = service.sign_batch([req.value], "c")[0]
     with pytest.raises(SignatureInvalid):
         unblind(signed ^ 1, req)
 
@@ -93,7 +93,7 @@ def test_unblind_detects_tampering(pair, service):
 def test_unblind_accepts_only_valid_signature(pair, service):
     fp = os.urandom(32)
     req = blind(fp, pair.public)
-    key = unblind(service.sign(req.value, "c"), req)
+    key = unblind(service.sign_batch([req.value], "c")[0], req)
     assert key == direct_key(pair, fp)
     assert len(key) == 32
 
@@ -119,11 +119,11 @@ class FakeClock:
 def test_capacity_one_bucket_rejects_second_request(pair):
     clock = FakeClock()
     service = KeyManagerService(pair, rate_capacity=1, rate_refill=1.0, clock=clock)
-    service.sign(2, "c")
+    service.sign_batch([2], "c")
     with pytest.raises(RateLimited):
-        service.sign(2, "c")
+        service.sign_batch([2], "c")
     clock.now += 1.0  # one token refilled
-    service.sign(2, "c")
+    service.sign_batch([2], "c")
 
 
 def test_batch_consumes_one_token_per_element(pair):
@@ -139,10 +139,10 @@ def test_batch_consumes_one_token_per_element(pair):
 def test_limiter_is_per_client(pair):
     clock = FakeClock()
     service = KeyManagerService(pair, rate_capacity=1, rate_refill=0.0, clock=clock)
-    service.sign(2, "a")
-    service.sign(2, "b")
+    service.sign_batch([2], "a")
+    service.sign_batch([2], "b")
     with pytest.raises(RateLimited):
-        service.sign(2, "a")
+        service.sign_batch([2], "a")
 
 
 def test_bucket_never_exceeds_capacity():
@@ -159,7 +159,7 @@ def test_bucket_never_exceeds_capacity():
 def test_batch_equals_sequential_signs(pair, service):
     values = [int.from_bytes(os.urandom(16), "big") for _ in range(8)]
     batch = service.sign_batch(values, "c")
-    sequential = [service.sign(v, "c") for v in values]
+    sequential = [service.sign_batch([v], "c")[0] for v in values]
     assert batch == sequential
 
 
@@ -217,15 +217,15 @@ def test_cache_evicts_least_recently_used(pair, service, monkeypatch):
     session = KeySession(LocalBackend(service))
     a, b, c, d, e = (os.urandom(32) for _ in range(5))
     session.keys_for_fingerprints([a, b, c, d])
-    session.key_for_fingerprint(a)  # a is now the most recently used
-    session.key_for_fingerprint(e)  # evicts b
+    session.keys_for_fingerprints([a])  # a is now the most recently used
+    session.keys_for_fingerprints([e])  # evicts b
     assert session.sent_count == 5
     assert session.keys_for_fingerprints([a, c, d, e]) == [
         direct_key(pair, fp) for fp in [a, c, d, e]]
     assert session.sent_count == 5
-    assert session.key_for_fingerprint(b) == direct_key(pair, b)  # evicts a
+    assert session.keys_for_fingerprints([b])[0] == direct_key(pair, b)  # evicts a
     assert session.sent_count == 6
-    session.key_for_fingerprint(a)
+    session.keys_for_fingerprints([a])
     assert session.sent_count == 7
 
 
@@ -290,7 +290,7 @@ def test_full_cache_is_bounded_in_entries_and_memory(pair, monkeypatch):
     assert len(session._cache) == KEY_CACHE_ENTRIES
     assert held < 4 << 20
     fp = next(reversed(session._cache))
-    assert session.key_for_fingerprint(fp) == direct_key(identity, fp)
+    assert session.keys_for_fingerprints([fp])[0] == direct_key(identity, fp)
 
 
 # -- segment keying -----------------------------------------------------------------
@@ -304,13 +304,14 @@ def seg_for(fps: list[bytes]) -> Segment:
 
 def test_single_chunk_segment_reduces_to_chunk_key(pair, session):
     fp = os.urandom(32)
-    assert session.segment_key(seg_for([fp])) == session.key_for_fingerprint(fp)
+    assert session.keys_for_fingerprints([seg_for([fp]).representative]) == \
+        session.keys_for_fingerprints([fp])
 
 
 def test_segment_count_drives_request_count(pair, session):
     segments = [seg_for([os.urandom(32) for _ in range(5)]) for _ in range(7)]
     before = session.request_count
-    keys = session.segment_keys(segments)
+    keys = session.keys_for_fingerprints([s.representative for s in segments])
     assert session.request_count - before == 7
     assert len(keys) == 7
 
@@ -320,7 +321,8 @@ def test_repeated_representative_gives_equal_segment_keys(pair, session):
     seg_a = seg_for([shared, b"\xff" + os.urandom(31)])
     seg_b = seg_for([shared, b"\xff" + os.urandom(31)])
     assert seg_a.representative == seg_b.representative == shared
-    assert session.segment_key(seg_a) == session.segment_key(seg_b)
+    assert session.keys_for_fingerprints([seg_a.representative]) == \
+        session.keys_for_fingerprints([seg_b.representative])
 
 
 # -- wire details ----------------------------------------------------------------------
@@ -336,9 +338,9 @@ def test_rate_limit_propagates_over_frames(pair):
     clock = FakeClock()
     service = KeyManagerService(pair, rate_capacity=1, rate_refill=0.0, clock=clock)
     session = KeySession(LocalBackend(service))
-    session.key_for_fingerprint(os.urandom(32))
+    session.keys_for_fingerprints([os.urandom(32)])
     with pytest.raises(RateLimited):
-        session.key_for_fingerprint(os.urandom(32))
+        session.keys_for_fingerprints([os.urandom(32)])
 
 
 def test_keypair_pem_round_trip(pair, tmp_path):

@@ -396,3 +396,21 @@ def test_concurrent_rekeys_serialize_on_version(store, owner_keys, access_keys,
     stale = wrap_state(wind(state, owner_keys), ["alice"], directory)
     with pytest.raises(VersionConflict):
         store.put_state("file-1", 1, stale, expected_prev=0)
+
+
+@pytest.mark.parametrize("mode", ["lazy", "active"])
+def test_rekey_with_empty_policy_writes_nothing(tmp_path, owner_keys, access_keys,
+                                                directory, mode):
+    service = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
+    backend = CountingBackend(LocalBackend(service))
+    store = StoreSession(backend)
+    _seed_file(store, owner_keys, access_keys, directory)
+    before = store.get_state("file-1"), store.get_stub("file-1")
+    backend.sent.clear()
+    with pytest.raises(PolicyEmpty):
+        rekeying.rekey(store, file_id="file-1", new_policy=[], mode=mode,
+                       user_id="alice", access_private_key=access_keys["alice"],
+                       derivation=owner_keys)
+    assert all(op != wire.BLOB_PUT for _, op in backend.sent)
+    assert (store.get_state("file-1"), store.get_stub("file-1")) == before
+    service.close()

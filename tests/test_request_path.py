@@ -106,7 +106,7 @@ def test_key_session_refuses_a_reply_of_the_wrong_type(manager_keypair):
             return resp_type, body
 
     with pytest.raises(TransportError):
-        KeySession(WrongType()).key_for_fingerprint(os.urandom(32))
+        KeySession(WrongType()).keys_for_fingerprints([os.urandom(32)])
 
 
 def test_text_fields_reject_non_utf8():

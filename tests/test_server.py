@@ -296,6 +296,53 @@ def test_restart_recovers_open_container_tail(tmp_path):
     svc2.close()
 
 
+def container_bytes(data_root: str) -> int:
+    croot = os.path.join(data_root, "containers")
+    return sum(os.path.getsize(os.path.join(croot, name)) for name in os.listdir(croot))
+
+
+def test_restart_cuts_a_torn_index_tail(tmp_path):
+    # Models a process that died between the buffered writes of one batch's
+    # index records; page-cache data lost by the machine is not modelled.
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    first = [item(os.urandom(1000)) for _ in range(3)]
+    second = [item(os.urandom(1000)) for _ in range(3)]
+    svc = StorageService(data_root, key_root)
+    StoreSession(LocalBackend(svc)).put_packages(first)
+    svc.close()
+    with open(os.path.join(data_root, "index.log"), "ab") as fh:
+        fh.write(b"\xee" * 20)
+    svc = StorageService(data_root, key_root)
+    StoreSession(LocalBackend(svc)).put_packages(second)
+    svc.close()
+    svc = StorageService(data_root, key_root)
+    session = StoreSession(LocalBackend(svc))
+    items = first + second
+    assert session.get_packages([fp for fp, _ in items]) == [data for _, data in items]
+    assert session.stats().physical_bytes == container_bytes(data_root) == 6000
+    svc.close()
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_oversized_package_refuses_the_whole_batch(tmp_path, transport):
+    data_root = str(tmp_path / "data")
+    svc = StorageService(data_root, str(tmp_path / "keys"), container_size=8192)
+    small, big = item(os.urandom(3000)), item(os.urandom(9000))
+    with contextlib.ExitStack() as stack:
+        stack.callback(svc.close)
+        backend = LocalBackend(svc)
+        if transport == "tcp":
+            server = FrameServer(svc).start()
+            stack.callback(server.stop)
+            backend = stack.enter_context(Connection(*server.address))
+        session = StoreSession(backend)
+        with pytest.raises(InvalidOperand, match="container size"):
+            session.put_packages([small, big])
+        assert session.stats().physical_bytes == 0
+        assert session.put_packages([small]) == 1
+    assert container_bytes(data_root) == 3000
+
+
 def test_rotation_after_restart(tmp_path):
     data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
     first = [item(os.urandom(3000)) for _ in range(2)]

@@ -55,7 +55,8 @@ def one_shot(data: bytes, params: ChunkingParams, keying: str,
                in enumerate(zip(chunks, keys.keys_for_fingerprints(fps)))]
         return out, keys.request_count
     segments = segment(list(zip(chunks, fps)), seg_params)
-    out = [(c.data, k, i) for i, (seg, k) in enumerate(zip(segments, keys.segment_keys(segments)))
+    seg_keys = keys.keys_for_fingerprints([s.representative for s in segments])
+    out = [(c.data, k, i) for i, (seg, k) in enumerate(zip(segments, seg_keys))
            for c, _ in seg.chunks]
     return out, keys.request_count
 

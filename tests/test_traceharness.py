@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tempfile
 
 import pytest
 
@@ -112,8 +113,8 @@ def test_exact_duplicate_snapshot_law():
                           mutation_rate=0.0)[0]
     report = replay([snap, snap], MODE_SIMILARITY, **SMALL_SEG)
     first, second = report.rows
-    assert second.physical == first.physical  # zero new container bytes
-    assert second.stub - first.stub == 64 * len(snap) + 28
+    assert second.physical_bytes == first.physical_bytes  # zero new container bytes
+    assert second.stub_bytes - first.stub_bytes == 64 * len(snap) + 28
     assert second.saving > first.saving  # saving strictly increases
 
 
@@ -122,8 +123,8 @@ def test_stub_bytes_equal_across_modes():
                            mutation_rate=0.15)
     sim = replay(trace, MODE_SIMILARITY, **SMALL_SEG)
     chunk = replay(trace, MODE_CHUNK, **SMALL_SEG)
-    assert sim.totals.stub == chunk.totals.stub
-    assert sim.totals.logical == chunk.totals.logical
+    assert sim.totals.stub_bytes == chunk.totals.stub_bytes
+    assert sim.totals.logical_bytes == chunk.totals.logical_bytes
 
 
 def test_similarity_never_beats_chunk_dedup():
@@ -131,7 +132,7 @@ def test_similarity_never_beats_chunk_dedup():
                            mutation_rate=0.2)
     sim = replay(trace, MODE_SIMILARITY, **SMALL_SEG)
     chunk = replay(trace, MODE_CHUNK, **SMALL_SEG)
-    assert sim.totals.physical >= chunk.totals.physical
+    assert sim.totals.physical_bytes >= chunk.totals.physical_bytes
 
 
 def test_key_request_counts_per_mode():
@@ -192,7 +193,7 @@ def test_replay_matches_brute_force_oracle(mode):
     report = replay(trace, mode, **SMALL_SEG)
     params = SegmentationParams(avg_size=SMALL_SEG["avg_segment_size"],
                                 avg_chunk_size=SMALL_SEG["avg_chunk_size"])
-    assert report.totals.physical == oracle_physical(trace, mode, params)
+    assert report.totals.physical_bytes == oracle_physical(trace, mode, params)
 
 
 @pytest.mark.parametrize("mode, resolved", [(MODE_CHUNK, 6000), (MODE_SIMILARITY, 58)])
@@ -207,7 +208,7 @@ def test_key_cache_on_the_mode_comparison_trace(mode, resolved):
     # the cache holds every key of this trace, so each distinct key id is sent once
     key_ids = {key_id for _, key_id in oracle_key_ids(trace, mode, params)}
     assert report.keys_sent == len(key_ids)
-    assert report.totals.physical == oracle_physical(trace, mode, params)
+    assert report.totals.physical_bytes == oracle_physical(trace, mode, params)
 
 
 def test_extreme_binning_repeated_representative():
@@ -247,8 +248,8 @@ def test_extreme_binning_repeated_representative():
     # segments: [a b c t1] [d e f t2] [a b c d] with representatives a, d, a
     assert report.key_requests == 3
     # 8 distinct chunks, and d is stored once per distinct segment key
-    assert report.totals.physical == 9 * size
-    assert report.totals.logical == 12 * size
+    assert report.totals.physical_bytes == 9 * size
+    assert report.totals.logical_bytes == 12 * size
 
 
 def test_ten_snapshot_overlap_ordering():
@@ -258,10 +259,10 @@ def test_ten_snapshot_overlap_ordering():
                            mutation_rate=0.1)
     sim = replay(trace, MODE_SIMILARITY)
     chunk = replay(trace, MODE_CHUNK)
-    assert sim.totals.physical >= chunk.totals.physical
-    assert sim.totals.stub == chunk.totals.stub
-    assert sim.totals.physical < sim.totals.logical / 2
-    assert chunk.totals.physical < chunk.totals.logical / 2
+    assert sim.totals.physical_bytes >= chunk.totals.physical_bytes
+    assert sim.totals.stub_bytes == chunk.totals.stub_bytes
+    assert sim.totals.physical_bytes < sim.totals.logical_bytes / 2
+    assert chunk.totals.physical_bytes < chunk.totals.logical_bytes / 2
 
 
 def test_tsv_shape():
@@ -296,3 +297,40 @@ def test_trace_cli_gen_and_replay(tmp_path, capsys):
     counts = dict(line.split("\t") for line in capsys.readouterr().err.splitlines())
     assert set(counts) == {"key_requests", "keys_sent"}
     assert 0 < int(counts["keys_sent"]) <= int(counts["key_requests"])
+
+
+REPLAY_TSV = {
+    "chunk": ("snapshot\tlogical\tphysical\tstub\tsaving\n"
+              "0\t357895\t357895\t2588\t-0.007231\n"
+              "1\t714847\t397261\t5176\t0.437031\n"
+              "2\t1070220\t424357\t7764\t0.596232\n",
+              "key_requests\t120\nkeys_sent\t48\n"),
+    "similarity": ("snapshot\tlogical\tphysical\tstub\tsaving\n"
+                   "0\t357895\t357895\t2588\t-0.007231\n"
+                   "1\t714847\t478326\t5176\t0.323629\n"
+                   "2\t1070220\t526447\t7764\t0.500840\n",
+                   "key_requests\t21\nkeys_sent\t9\n"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(REPLAY_TSV))
+def test_trace_cli_replay_output_is_pinned(tmp_path, capsys, mode):
+    trace_path = str(tmp_path / "t.trace")
+    assert cli.trace_main(["gen", "--seed", "5", "--snapshots", "3", "--chunks", "40",
+                           "--mutate", "0.1", "-o", trace_path]) == 0
+    assert cli.trace_main(["replay", trace_path, "--mode", mode, "--avg-segment", "32K",
+                           "--avg-chunk", "8192"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == REPLAY_TSV[mode]
+
+
+def test_replay_removes_only_the_directory_it_made(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    trace = generate_trace(seed=14, snapshots=2, chunks_per_snapshot=10,
+                           mutation_rate=0.5)
+    replay(trace, MODE_SIMILARITY, **SMALL_SEG)
+    assert os.listdir(tmp_path) == []
+    given = tmp_path / "given"
+    given.mkdir()
+    replay(trace, MODE_CHUNK, workdir=str(given), **SMALL_SEG)
+    assert sorted(os.listdir(given)) == ["data", "keys"]
