@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = Config.load(args.config)
         return _run(args, cfg)
-    except errors.ReedError as exc:
+    except (errors.ReedError, OSError, ValueError) as exc:  # also a bad config or address
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

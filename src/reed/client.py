@@ -25,7 +25,7 @@ from . import caont, wire
 from .chunking import (Chunk, ChunkingParams, Segment, SegmentationParams,
                        chunk_stream, fingerprint, segment)
 from .errors import IntegrityViolation, SchemeNotAllowed, TransportError
-from .keygen import KeySession
+from .keygen import KeySession, write_private
 from .rekeying import (DerivationKeyPair, access_public_pem, derive_file_key,
                        generate_access_keypair, new_state, unwind_to, unwrap_state,
                        wrap_state)
@@ -87,13 +87,11 @@ class StoreSession:
         return wire.decode_byte_list(body)
 
     def _put_blob(self, msg_type: int, obj_id: str, version: int, blob: bytes,
-                  expected_prev: int | None = None, supersede: bool = False) -> None:
-        self._call(msg_type, wire.encode_blob_put(obj_id, version, blob, expected_prev,
-                                                  supersede))
+                  expected_prev: int | None = None) -> None:
+        self._call(msg_type, wire.encode_blob_put(obj_id, version, blob, expected_prev))
 
-    def _get_blob(self, msg_type: int, obj_id: str,
-                  version: int | None = None) -> tuple[int, bytes]:
-        body = self._call(msg_type, wire.encode_blob_get(obj_id, version))
+    def _get_blob(self, msg_type: int, obj_id: str) -> tuple[int, bytes]:
+        body = self._call(msg_type, wire.encode_blob_get(obj_id))
         return wire.decode_blob_response(body)
 
     def put_recipe(self, file_id: str, blob: bytes) -> None:
@@ -102,21 +100,18 @@ class StoreSession:
     def get_recipe(self, file_id: str) -> bytes:
         return self._get_blob(wire.MSG_RECIPE, file_id)[1]
 
-    def put_stub(self, file_id: str, version: int, blob: bytes,
-                 supersede: bool = False) -> None:
-        """Store a stub-file version; with supersede, the server then drops
-        every older version, and refuses the put if it would not be current."""
-        self._put_blob(wire.MSG_STUB_FILE, file_id, version, blob, supersede=supersede)
+    def put_stub(self, file_id: str, version: int, blob: bytes) -> None:
+        self._put_blob(wire.MSG_STUB_FILE, file_id, version, blob)
 
-    def get_stub(self, file_id: str, version: int | None = None) -> tuple[int, bytes]:
-        return self._get_blob(wire.MSG_STUB_FILE, file_id, version)
+    def get_stub(self, file_id: str) -> tuple[int, bytes]:
+        return self._get_blob(wire.MSG_STUB_FILE, file_id)
 
     def put_state(self, file_id: str, version: int, blob: bytes,
                   expected_prev: int | None = None) -> None:
         self._put_blob(wire.MSG_WRAPPED_STATE, file_id, version, blob, expected_prev)
 
-    def get_state(self, file_id: str, version: int | None = None) -> tuple[int, bytes]:
-        return self._get_blob(wire.MSG_WRAPPED_STATE, file_id, version)
+    def get_state(self, file_id: str) -> tuple[int, bytes]:
+        return self._get_blob(wire.MSG_WRAPPED_STATE, file_id)
 
     def put_user_key(self, user_id: str, blob: bytes) -> None:
         self._put_blob(wire.MSG_USER_KEY, user_id, 0, blob)
@@ -148,14 +143,13 @@ class ClientIdentity:
         pem = self.access_key.private_bytes(
             serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
             serialization.NoEncryption())
-        with open(os.path.join(directory, "access_key.pem"), "wb") as fh:
-            fh.write(pem)
+        write_private(os.path.join(directory, "access_key.pem"), pem)
         deriv = self.derivation
         meta = {"user_id": self.user_id,
                 "derivation": {"n": hex(deriv.n), "e": deriv.e, "d": hex(deriv.d),
                                "p": hex(deriv.p), "q": hex(deriv.q)}}
-        with open(os.path.join(directory, "identity.json"), "w") as fh:
-            json.dump(meta, fh)
+        write_private(os.path.join(directory, "identity.json"),
+                      json.dumps(meta).encode("utf-8"))
 
     @classmethod
     def load(cls, directory: str) -> "ClientIdentity":

@@ -40,6 +40,15 @@ DEFAULT_BATCH_CAP = 256
 KEY_CACHE_ENTRIES = 16_384
 
 
+def write_private(path: str, data: bytes) -> None:
+    """Write secret key material readable by its owner only; a file that
+    already exists loses any wider mode before the data goes in."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "wb") as fh:
+        os.fchmod(fd, 0o600)
+        fh.write(data)
+
+
 @dataclass(frozen=True)
 class ManagerPublicKey:
     n: int
@@ -119,8 +128,7 @@ class ManagerKeyPair(RSAKeyPair):
             serialization.PrivateFormat.PKCS8,
             serialization.NoEncryption(),
         )
-        with open(path, "wb") as fh:
-            fh.write(pem)
+        write_private(path, pem)
 
     @classmethod
     def load_pem(cls, path: str) -> "ManagerKeyPair":

@@ -31,7 +31,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import caont
 from .errors import (AccessDenied, AtInitialState, NotFound, NotOwner,
-                     PolicyEmpty, UnknownUser, VersionConflict)
+                     PolicyEmpty, UnknownUser)
 from .keygen import RSAKeyPair
 from .wire import Reader
 
@@ -265,8 +265,8 @@ def rekey(store, *, file_id: str, new_policy: Iterable[str], mode: str,
     The state compare-and-set at the key store is the serialization point;
     in active mode the stub file is re-encrypted under the new file key
     afterwards, so a crash in between leaves a readable file whose stubs
-    are simply one unwind behind. The re-encrypted stub file supersedes
-    every older version, so a revoked member's old file key opens no stub
+    are simply one unwind behind. The re-encrypted stub file replaces the
+    server's only copy, so a revoked member's old file key opens no stub
     file the server keeps. A stub file already newer than the new state
     means a later active rekey re-encrypted it, so this one is done.
     Trimmed packages are never touched. Returns the new state version.
@@ -290,8 +290,6 @@ def rekey(store, *, file_id: str, new_policy: Iterable[str], mode: str,
         old_key = derive_file_key(unwind_to(new, stub_version))
         stubs = caont.decrypt_stub_file(stub_blob, old_key)
         new_blob = caont.encrypt_stub_file(stubs, derive_file_key(new))
-        try:
-            store.put_stub(file_id, new.version, new_blob, supersede=True)
-        except VersionConflict:
-            pass  # a later active rekey's stub file is already current
+        # below a later active rekey's stub file, this put changes nothing
+        store.put_stub(file_id, new.version, new_blob)
     return new.version

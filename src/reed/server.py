@@ -3,7 +3,8 @@
 Trimmed packages are deduplicated by their SHA-256 fingerprint and packed
 into append-only 4MB containers. Recipes and stub files live under the data
 root; wrapped key states and user public keys live under a separate key
-root. The index is an append-only log replayed into memory at startup, so
+root, each as one record of its current version only (see BlobStore). The
+index is an append-only log replayed into memory at startup, so
 acknowledged writes survive a restart.
 """
 
@@ -13,6 +14,7 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 import socketserver
 import struct
 import threading
@@ -177,96 +179,97 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-class BlobStore:
-    """Versioned id-addressed blobs with an atomically advanced CURRENT pointer.
+_VERSION = struct.Struct(">I")
+MAX_BLOB_ID = 125  # UTF-8 bytes, so that the hex name plus ".tmp" fits NAME_MAX
 
-    A plain put keeps every version. A superseding put, which an active
-    rekey makes for its stub file, removes every older version once the new
-    one is current, so no old version stays on the server to be read.
+
+class BlobStore:
+    """Id-addressed blobs, one record per object: ``<kind>/<hex id>`` holds
+    ``u32 version || blob`` for the current version only.
+
+    A put at or above the current version replaces the record, so the old
+    blob is gone once the rename lands. A put below it is acknowledged and
+    changes nothing, because the newer version wins. No older version is
+    needed: key regression unwinds the current key state to the file key of
+    any older stub file.
     """
 
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
         self._lock = threading.Lock()
-        self._sizes: dict[str, int] = {}  # kind -> stored bytes
+        self._sizes: dict[str, int] = {}  # kind -> stored blob bytes
         for kind in os.listdir(root):
-            total = 0
             kind_dir = os.path.join(root, kind)
-            for obj in os.listdir(kind_dir):
-                obj_dir = os.path.join(kind_dir, obj)
-                for name in os.listdir(obj_dir):
-                    if name.endswith(".bin"):
-                        total += os.path.getsize(os.path.join(obj_dir, name))
-            self._sizes[kind] = total
+            names = os.listdir(kind_dir)
+            for name in names:
+                if name.endswith(".tmp"):  # a put that was never acknowledged
+                    os.remove(os.path.join(kind_dir, name))
+            for name in names:
+                if os.path.isdir(os.path.join(kind_dir, name)):
+                    _convert_object_dir(os.path.join(kind_dir, name))
+            self._sizes[kind] = sum(
+                os.path.getsize(os.path.join(kind_dir, name)) - _VERSION.size
+                for name in os.listdir(kind_dir))
 
-    def _obj_dir(self, kind: str, obj_id: str) -> str:
+    def _path(self, kind: str, obj_id: str) -> str:
         return os.path.join(self.root, kind, obj_id.encode("utf-8").hex())
 
-    def _current(self, obj_dir: str) -> int | None:
-        try:
-            with open(os.path.join(obj_dir, "CURRENT"), "rb") as fh:
-                return int(fh.read().decode("ascii"))
-        except FileNotFoundError:
-            return None
-
     def put(self, kind: str, obj_id: str, version: int, blob: bytes,
-            expected_prev: int | None = None, supersede: bool = False) -> None:
-        obj_dir = self._obj_dir(kind, obj_id)
+            expected_prev: int | None = None) -> None:
+        path = self._path(kind, obj_id)
         with self._lock:
-            os.makedirs(obj_dir, exist_ok=True)
-            current = self._current(obj_dir)
+            current, old_size = None, 0
+            try:
+                with open(path, "rb") as fh:
+                    current = _VERSION.unpack(fh.read(_VERSION.size))[0]
+                    old_size = os.fstat(fh.fileno()).st_size - _VERSION.size
+            except FileNotFoundError:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
             if expected_prev is not None and current != expected_prev:
                 raise VersionConflict(
                     f"{kind}/{obj_id}: current version is {current}, expected {expected_prev}")
-            if supersede and current is not None and version < current:
-                raise VersionConflict(
-                    f"{kind}/{obj_id}: version {version} cannot supersede current "
-                    f"version {current}")
-            path = os.path.join(obj_dir, f"{version:010d}.bin")
-            old = os.path.getsize(path) if os.path.exists(path) else 0
-            _atomic_write(path, blob)
-            self._sizes[kind] = self._sizes.get(kind, 0) + len(blob) - old
-            if current is None or version > current:
-                _atomic_write(os.path.join(obj_dir, "CURRENT"),
-                              str(version).encode("ascii"))
-            if supersede:
-                self._remove_older(kind, obj_dir, version)
+            if current is not None and version < current:
+                return
+            _atomic_write(path, _VERSION.pack(version) + blob)
+            self._sizes[kind] = self._sizes.get(kind, 0) + len(blob) - old_size
+            _fsync_dir(os.path.dirname(path))
 
-    def _remove_older(self, kind: str, obj_dir: str, version: int) -> None:
-        """Unlink every version below ``version``, which is current and durable.
-
-        The directory is fsynced first, so the renames that made the new
-        version and CURRENT durable cannot be lost while an unlink survives.
-        """
-        older = []
-        for name in os.listdir(obj_dir):
-            stem, ext = os.path.splitext(name)
-            if ext == ".bin" and stem.isdigit() and int(stem) < version:
-                older.append(os.path.join(obj_dir, name))
-        if not older:
-            return
-        _fsync_dir(obj_dir)
-        for path in older:
-            self._sizes[kind] -= os.path.getsize(path)
-            os.remove(path)
-
-    def get(self, kind: str, obj_id: str, version: int | None = None) -> tuple[int, bytes]:
-        obj_dir = self._obj_dir(kind, obj_id)
-        with self._lock:
-            v = self._current(obj_dir) if version is None else version
-            if v is None:
-                raise NotFound(f"{kind}/{obj_id} does not exist")
-            path = os.path.join(obj_dir, f"{v:010d}.bin")
-            try:
-                with open(path, "rb") as fh:
-                    return v, fh.read()
-            except FileNotFoundError:
-                raise NotFound(f"{kind}/{obj_id} has no version {v}") from None
+    def get(self, kind: str, obj_id: str) -> tuple[int, bytes]:
+        try:
+            fh = open(self._path(kind, obj_id), "rb")
+        except FileNotFoundError:
+            raise NotFound(f"{kind}/{obj_id} does not exist") from None
+        with fh:
+            return _VERSION.unpack(fh.read(_VERSION.size))[0], fh.read()
 
     def stored_bytes(self, kind: str) -> int:
         with self._lock:
             return self._sizes.get(kind, 0)
+
+
+def _convert_object_dir(obj_dir: str) -> None:
+    """Replace an object directory of the old layout (a file per version and
+    a CURRENT pointer) with the record of its current version.
+
+    The directory is renamed aside first, since the record takes its name,
+    and removed only after the record's rename is durable, so a crash at any
+    step leaves a state that the next open finishes converting.
+    """
+    path = obj_dir.removesuffix(".old")
+    old = path + ".old"
+    if obj_dir != old:
+        os.rename(obj_dir, old)
+    if not os.path.exists(path):
+        try:
+            with open(os.path.join(old, "CURRENT"), "rb") as fh:
+                version = int(fh.read())
+            with open(os.path.join(old, f"{version:010d}.bin"), "rb") as fh:
+                _atomic_write(path, _VERSION.pack(version) + fh.read())
+        except FileNotFoundError:
+            pass  # the object's first put never reached CURRENT
+    _fsync_dir(os.path.dirname(path))
+    shutil.rmtree(old)
 
 
 @dataclass(frozen=True)
@@ -399,23 +402,22 @@ class StorageService:
         r = wire.Reader(payload)
         op = r.u8()
         obj_id = r.text()
+        if len(obj_id.encode("utf-8")) > MAX_BLOB_ID:
+            raise InvalidOperand(f"blob id longer than {MAX_BLOB_ID} UTF-8 bytes")
         store = self.key_blobs if kind in _KEY_KINDS else self.data_blobs
         if op == wire.BLOB_PUT:
             version = r.u32()
             flags = r.u8()
-            if flags & ~(wire.PUT_EXPECTED_PREV | wire.PUT_SUPERSEDE):
+            if flags & ~wire.PUT_EXPECTED_PREV:
                 raise InvalidOperand(f"unknown blob put flags {flags:#04x}")
             expected = r.u32() if flags & wire.PUT_EXPECTED_PREV else None
             blob = r.bytes_u32()
             r.done()
-            store.put(kind, obj_id, version, blob, expected,
-                      supersede=bool(flags & wire.PUT_SUPERSEDE))
+            store.put(kind, obj_id, version, blob, expected)
             return b""
         if op == wire.BLOB_GET:
-            version = r.u32()
             r.done()
-            v = None if version == wire.VERSION_CURRENT else version
-            return wire.encode_blob_response(*store.get(kind, obj_id, v))
+            return wire.encode_blob_response(*store.get(kind, obj_id))
         raise InvalidOperand(f"unknown blob op {op}")
 
 

@@ -6,9 +6,10 @@ or with an error frame (type 0x7F, payload = 2-byte code plus UTF-8 message).
 
 Blob message families (recipe, stub file, wrapped key state, user public
 key) share one request type per family; the first payload byte selects the
-operation (0x00 put, 0x01 get). A put carries a flags byte: bit 0 says an
-expected previous version follows, bit 1 asks the put to supersede every
-older version, and any other bit is a bad request.
+operation (0x00 put, 0x01 get). A put carries a version and a flags byte:
+bit 0 says an expected previous version follows, and any other bit is a bad
+request. A get names only the id and is answered with the current version
+and its blob; the server keeps no other version.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ RESP_FLAG = 0x80
 
 BLOB_PUT = 0x00
 BLOB_GET = 0x01
-VERSION_CURRENT = 0xFFFFFFFF
 PUT_EXPECTED_PREV = 0x01
-PUT_SUPERSEDE = 0x02
 
 ERR_NOT_FOUND = 1
 ERR_FINGERPRINT_MISMATCH = 2
@@ -274,17 +273,15 @@ def decode_byte_list(payload: bytes) -> list[bytes]:
 
 
 def encode_blob_put(obj_id: str, version: int, blob: bytes,
-                    expected_prev: int | None = None, supersede: bool = False) -> bytes:
-    flags = PUT_SUPERSEDE if supersede else 0
+                    expected_prev: int | None = None) -> bytes:
     head = bytes([BLOB_PUT]) + prefixed(obj_id.encode("utf-8")) + u32(version)
     if expected_prev is None:
-        return head + bytes([flags]) + prefixed(blob)
-    return head + bytes([flags | PUT_EXPECTED_PREV]) + u32(expected_prev) + prefixed(blob)
+        return head + b"\x00" + prefixed(blob)
+    return head + bytes([PUT_EXPECTED_PREV]) + u32(expected_prev) + prefixed(blob)
 
 
-def encode_blob_get(obj_id: str, version: int | None = None) -> bytes:
-    v = VERSION_CURRENT if version is None else version
-    return bytes([BLOB_GET]) + prefixed(obj_id.encode("utf-8")) + u32(v)
+def encode_blob_get(obj_id: str) -> bytes:
+    return bytes([BLOB_GET]) + prefixed(obj_id.encode("utf-8"))
 
 
 def encode_blob_response(version: int, blob: bytes) -> bytes:

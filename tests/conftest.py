@@ -32,6 +32,25 @@ def private_operands(keys):
                      st.integers(1, p - 1).map(lambda k: k * q))
 
 
+def assert_one_stub_record(data_root: str, store, file_id: str) -> None:
+    """The server keeps one stub file for file_id, and stub_bytes counts it
+    alone, so no older stub file is left for an old file key to open."""
+    kind_dir = os.path.join(data_root, "blobs", "stub")
+    name = file_id.encode("utf-8").hex()
+    assert [n for n in os.listdir(kind_dir) if n.split(".")[0] == name] == [name]
+    assert os.path.isfile(os.path.join(kind_dir, name))
+    assert store.stats().stub_bytes == len(store.get_stub(file_id)[1])
+
+
+@pytest.fixture
+def umask_022():
+    """The common default umask, under which a plain open() makes files
+    readable by everyone."""
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
 @pytest.fixture(scope="session")
 def manager_keypair():
     return ManagerKeyPair.generate()

@@ -9,13 +9,13 @@ import warnings
 
 import pytest
 
+from conftest import assert_one_stub_record
 from reed import caont, cli
 from reed.chunking import ChunkingParams
 from reed.client import (ClientIdentity, Connection, StoreSession, download,
                          file_id_for, rekey_file, upload)
 from reed.errors import (AccessDenied, AuthenticationFailure, IntegrityViolation,
-                         NotFound, NotOwner, PolicyEmpty, SchemeNotAllowed,
-                         UnknownUser)
+                         NotOwner, PolicyEmpty, SchemeNotAllowed, UnknownUser)
 from reed.keygen import KeySession
 from reed.rekeying import derive_file_key, new_state, unwrap_state, wind
 
@@ -198,8 +198,7 @@ def test_member_revoked_by_active_rekey_cannot_read_old_stubs(ready, identities,
     bob_key = derive_file_key(unwrap_state(wrapped, identities["bob"].access_key, "bob"))
     rekey_file(fid, new_policy=["alice"], mode="active",
                identity=identities["alice"], store=store)
-    with pytest.raises(NotFound):
-        store.get_stub(fid, 0)  # the stub file bob's key opened is gone
+    assert_one_stub_record(ready.data_root, store, fid)  # bob's stub file is gone
     with pytest.raises(AuthenticationFailure):
         caont.decrypt_stub_file(store.get_stub(fid)[1], bob_key)
     assert download(fid, identity=identities["alice"], store=store) == data
@@ -244,8 +243,7 @@ def test_download_survives_a_racing_active_rekey(ready, identities, tmp_path, re
     assert download(fid, identity=identities["bob"], store=reader) == data
     assert reader.rekey is None
     assert store.get_stub(fid)[0] == 3
-    with pytest.raises(NotFound):
-        store.get_stub(fid, 0)
+    assert_one_stub_record(ready.data_root, store, fid)
 
 
 def test_stub_bytes_count_only_current_stub_files(ready, identities, tmp_path):
@@ -317,6 +315,19 @@ def test_identity_save_load_keeps_primes(identities, tmp_path):
     alice = identities["alice"]
     alice.save(str(tmp_path))
     assert ClientIdentity.load(str(tmp_path)).derivation == alice.derivation
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_identity_files_are_private(identities, tmp_path, umask_022, existing):
+    names = ("access_key.pem", "identity.json")
+    if existing:
+        for name in names:
+            (tmp_path / name).write_bytes(b"")
+            os.chmod(tmp_path / name, 0o644)
+    identities["alice"].save(str(tmp_path))
+    for name in names:
+        assert os.stat(tmp_path / name).st_mode & 0o077 == 0
+    assert ClientIdentity.load(str(tmp_path)).derivation == identities["alice"].derivation
 
 
 def test_identity_without_primes_loads_and_winds_alike(identities, tmp_path):
@@ -457,6 +468,20 @@ def test_cli_integrity_exit_code(ready, tmp_path, capsys):
         fh.write(b"\xff\xff\xff\xff")
     out_path = os.path.join(str(tmp_path), "x.bin")
     assert cli.main(["--config", cfg, "download", fid, "-o", out_path]) == 3
+
+
+def test_cli_missing_config_exits_with_an_error(tmp_path, capsys):
+    missing = os.path.join(str(tmp_path), "missing.ini")
+    assert cli.main(["--config", missing, "stats"]) == 1
+    assert capsys.readouterr().err == f"error: config file {missing} does not exist\n"
+
+
+def test_cli_bad_server_address_exits_with_an_error(tmp_path, capsys):
+    cfg = os.path.join(str(tmp_path), "bad.ini")
+    with open(cfg, "w") as fh:
+        fh.write("[client]\nserver = nohost\n")
+    assert cli.main(["--config", cfg, "stats"]) == 1
+    assert capsys.readouterr().err == "error: expected host:port, got 'nohost'\n"
 
 
 def test_cli_bad_recipe_exits_with_an_error(ready, tmp_path, capsys):

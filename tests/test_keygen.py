@@ -352,6 +352,17 @@ def test_keypair_pem_round_trip(pair, tmp_path):
     assert ManagerKeyPair.load_or_create(path) == pair
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_keypair_pem_is_private(pair, tmp_path, umask_022, existing):
+    path = tmp_path / "manager.pem"
+    if existing:
+        path.write_bytes(b"")
+        os.chmod(path, 0o644)
+    pair.save_pem(str(path))
+    assert os.stat(path).st_mode & 0o077 == 0
+    assert ManagerKeyPair.load_pem(str(path)) == pair
+
+
 def test_keypair_created_on_first_boot(tmp_path):
     path = str(tmp_path / "fresh.pem")
     first = ManagerKeyPair.load_or_create(path)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import private_operands
+from conftest import assert_one_stub_record, private_operands
 from reed import caont, rekeying, wire
 from reed.client import StoreSession
 from reed.errors import (AccessDenied, AtInitialState, AuthenticationFailure,
-                         NotFound, NotOwner, PolicyEmpty, PrivateKeyFault,
-                         UnknownUser, VersionConflict)
+                         NotOwner, PolicyEmpty, PrivateKeyFault, UnknownUser,
+                         VersionConflict)
 from reed.rekeying import (DerivationKeyPair, KeyState, derive_file_key,
                            generate_access_keypair, new_state, unwind,
                            unwind_to, unwrap_state, wind, wrap_state,
@@ -273,7 +273,7 @@ def test_active_rekey_reencrypts_stubs(store, owner_keys, access_keys, directory
 
 
 def test_active_rekey_leaves_no_stub_file_for_old_keys(store, owner_keys, access_keys,
-                                                       directory):
+                                                       directory, tmp_path):
     state, _ = _seed_file(store, owner_keys, access_keys, directory)
     bob_key = derive_file_key(unwrap_state(store.get_state("file-1")[1],
                                            access_keys["bob"], "bob"))
@@ -283,9 +283,7 @@ def test_active_rekey_leaves_no_stub_file_for_old_keys(store, owner_keys, access
                        derivation=owner_keys)
     current, _ = store.get_stub("file-1")
     assert current == 2
-    for version in range(current):
-        with pytest.raises(NotFound):
-            store.get_stub("file-1", version)
+    assert_one_stub_record(str(tmp_path / "data"), store, "file-1")
     with pytest.raises(AuthenticationFailure):
         caont.decrypt_stub_file(store.get_stub("file-1")[1], bob_key)
 
@@ -301,11 +299,11 @@ class RekeyInsideGetStub:
     def __getattr__(self, name):
         return getattr(self._store, name)
 
-    def get_stub(self, file_id, version=None):
+    def get_stub(self, file_id):
         rekey, self.rekey = self.rekey, None
         if rekey and self.first:
             rekey()
-        got = self._store.get_stub(file_id, version)
+        got = self._store.get_stub(file_id)
         if rekey and not self.first:
             rekey()
         return got
@@ -313,7 +311,7 @@ class RekeyInsideGetStub:
 
 @pytest.mark.parametrize("first", [True, False], ids=["before-read", "after-read"])
 def test_overtaken_active_rekey_succeeds(store, owner_keys, access_keys, directory,
-                                         first):
+                                         first, tmp_path):
     _, stubs = _seed_file(store, owner_keys, access_keys, directory)
 
     def active(on):
@@ -326,9 +324,7 @@ def test_overtaken_active_rekey_succeeds(store, owner_keys, access_keys, directo
     assert racing.rekey is None
     version, blob = store.get_stub("file-1")
     assert version == 2
-    for old in (0, 1):
-        with pytest.raises(NotFound):
-            store.get_stub("file-1", old)
+    assert_one_stub_record(str(tmp_path / "data"), store, "file-1")
     state = unwrap_state(store.get_state("file-1")[1], access_keys["alice"], "alice")
     assert caont.decrypt_stub_file(blob, derive_file_key(state)) == stubs
 

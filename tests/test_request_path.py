@@ -50,8 +50,12 @@ CASES = {
                         InvalidOperand),
     "truncated-payload": ("store", wire.MSG_GET_PACKAGES, b"\xff\xff", InvalidOperand),
     "non-utf8-id": ("store", wire.MSG_RECIPE,
-                    bytes([wire.BLOB_GET]) + wire.prefixed(b"\xff\xfe")
-                    + wire.u32(wire.VERSION_CURRENT), InvalidOperand),
+                    bytes([wire.BLOB_GET]) + wire.prefixed(b"\xff\xfe"), InvalidOperand),
+    # the longest id whose hex record name plus ".tmp" fits NAME_MAX, and one byte more
+    "id-of-125-bytes": ("store", wire.MSG_USER_KEY,
+                        wire.encode_blob_put("u" * 125, 0, b"pem"), None),
+    "id-of-126-bytes": ("store", wire.MSG_USER_KEY,
+                        wire.encode_blob_put("u" * 126, 0, b"pem"), InvalidOperand),
     "keygen-over-cap": ("manager", wire.MSG_KEYGEN, keygen_values(5), InvalidOperand),
     "rate-limited": ("manager", wire.MSG_KEYGEN, keygen_values(3), RateLimited),
 }
@@ -59,10 +63,14 @@ CASES = {
 
 @pytest.mark.parametrize("case", CASES)
 def test_both_transports_raise_the_same_error(services, case):
+    """Each case raises its error over both transports, or, with None, succeeds."""
     target, msg_type, payload, expected = CASES[case]
     objects, conns = services
     for transport, backend in [("local", wire.LocalBackend(objects[target])),
                                ("tcp", conns[target])]:
+        if expected is None:
+            assert wire.call(backend, msg_type, payload) == b"", transport
+            continue
         with pytest.raises(expected) as info:
             wire.call(backend, msg_type, payload)
         assert type(info.value) is expected, transport

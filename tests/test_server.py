@@ -3,16 +3,18 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import socket
 import struct
 import threading
 
 import pytest
 
+from conftest import assert_one_stub_record
 from reed import wire
 from reed.client import Connection, StoreSession
 from reed.errors import (FingerprintMismatch, InvalidOperand, NotFound,
-                         VersionConflict)
+                         StorageUnavailable, VersionConflict)
 from reed.server import FrameServer, StorageService
 from reed.wire import LocalBackend
 
@@ -116,13 +118,13 @@ def test_blob_missing_not_found(session):
         session.get_stub("nope")
 
 
-def test_versioned_blob_current_pointer(session):
+def test_versioned_blob_current_pointer(session, tmp_path):
     session.put_stub("f", 0, b"v0")
     session.put_stub("f", 1, b"v1")
     assert session.get_stub("f") == (1, b"v1")
-    assert session.get_stub("f", 0) == (0, b"v0")
-    with pytest.raises(NotFound):
-        session.get_stub("f", 7)
+    session.put_stub("f", 0, b"again")  # below the current version: acknowledged, no change
+    assert session.get_stub("f") == (1, b"v1")
+    assert_one_stub_record(str(tmp_path / "data"), session, "f")
 
 
 def test_state_cas_conflict(session):
@@ -138,33 +140,33 @@ def test_stub_accounting_replaces_same_version(session):
     assert session.stats().stub_bytes == 100
     session.put_stub("f", 0, b"y" * 100)  # idempotent re-upload
     assert session.stats().stub_bytes == 100
-    session.put_stub("f", 1, b"z" * 80)  # a rekeyed version adds
-    assert session.stats().stub_bytes == 180
+    session.put_stub("f", 1, b"z" * 80)  # a rekeyed version replaces it
+    assert session.stats().stub_bytes == 80
+    session.put_stub("g", 0, b"w" * 30)  # another file adds
+    assert session.stats().stub_bytes == 110
 
 
-# -- superseding puts ---------------------------------------------------------------
+# -- one record per blob --------------------------------------------------------------
 
 
-def stub_dir(tmp_path, file_id: str) -> str:
-    return str(tmp_path / "data" / "blobs" / "stub" / file_id.encode().hex())
+def stub_kind(tmp_path) -> str:
+    return str(tmp_path / "data" / "blobs" / "stub")
 
 
 def test_superseding_put_removes_older_versions(session, tmp_path):
     session.put_stub("f", 0, b"a" * 100)
     session.put_stub("f", 1, b"b" * 90)
-    session.put_stub("f", 2, b"c" * 80, supersede=True)
+    session.put_stub("f", 2, b"c" * 80)
     assert session.get_stub("f") == (2, b"c" * 80)
-    for old in (0, 1):
-        with pytest.raises(NotFound):
-            session.get_stub("f", old)
-    assert sorted(os.listdir(stub_dir(tmp_path, "f"))) == ["0000000002.bin", "CURRENT"]
-    assert session.stats().stub_bytes == 80
+    assert_one_stub_record(str(tmp_path / "data"), session, "f")
+    with open(os.path.join(stub_kind(tmp_path), b"f".hex()), "rb") as fh:
+        assert fh.read() == struct.pack(">I", 2) + b"c" * 80
 
 
 def test_superseding_put_of_the_current_version_replaces_it(session):
     session.put_stub("f", 0, b"a" * 100)
     session.put_stub("f", 1, b"b" * 90)
-    session.put_stub("f", 1, b"c" * 70, supersede=True)  # a retried active rekey
+    session.put_stub("f", 1, b"c" * 70)  # a retried active rekey
     assert session.get_stub("f") == (1, b"c" * 70)
     assert session.stats().stub_bytes == 70
 
@@ -174,7 +176,7 @@ def test_stub_bytes_recounted_after_superseding_puts(tmp_path):
     svc = StorageService(data_root, key_root)
     session = StoreSession(LocalBackend(svc))
     for version in range(4):
-        session.put_stub("f", version, bytes(100 + version), supersede=version % 2 == 1)
+        session.put_stub("f", version, bytes(100 + version))
     session.put_stub("g", 0, bytes(50))
     before = session.stats().stub_bytes
     assert before == 103 + 50
@@ -184,32 +186,94 @@ def test_stub_bytes_recounted_after_superseding_puts(tmp_path):
     svc2.close()
 
 
-def test_superseding_put_syncs_before_it_unlinks(session, tmp_path, monkeypatch):
+def test_put_syncs_the_record_before_its_rename_and_the_directory_after(
+        session, tmp_path, monkeypatch):
     session.put_stub("f", 0, b"old")
     events = []
-    real_fsync, real_remove = os.fsync, os.remove
+    real_fsync, real_replace = os.fsync, os.replace
 
     def fsync(fd):
         events.append(("fsync", os.fstat(fd).st_ino))
         real_fsync(fd)
 
-    def remove(path):
-        events.append(("remove", os.path.basename(path)))
-        real_remove(path)
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, dst))
+        real_replace(src, dst)
 
     monkeypatch.setattr(os, "fsync", fsync)
-    monkeypatch.setattr(os, "remove", remove)
-    session.put_stub("f", 1, b"new", supersede=True)
-    obj_dir = stub_dir(tmp_path, "f")
-    inode = {name: os.stat(os.path.join(obj_dir, name)).st_ino
-             for name in ("0000000001.bin", "CURRENT")}
-    inode["dir"] = os.stat(obj_dir).st_ino
-    assert events == [("fsync", inode["0000000001.bin"]), ("fsync", inode["CURRENT"]),
-                      ("fsync", inode["dir"]), ("remove", "0000000000.bin")]
+    monkeypatch.setattr(os, "replace", replace)
+    session.put_stub("f", 1, b"new")
+    record = os.path.join(stub_kind(tmp_path), b"f".hex())
+    inode = os.stat(record).st_ino
+    assert events == [("fsync", inode), ("replace", inode, record),
+                      ("fsync", os.stat(stub_kind(tmp_path)).st_ino)]
+
+
+def test_put_cut_at_its_rename_keeps_the_previous_version(tmp_path, monkeypatch):
+    # Process death only: the put stops where os.replace would run, and no
+    # written page is lost.
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    svc = StorageService(data_root, key_root)
+    session = StoreSession(LocalBackend(svc))
+    session.put_stub("f", 0, b"a" * 100)
+    session.put_stub("g", 0, b"b" * 40)
+
+    def cut(src, dst):
+        raise OSError("process died here")
+
+    monkeypatch.setattr(os, "replace", cut)
+    with pytest.raises(StorageUnavailable):
+        session.put_stub("f", 1, b"c" * 70)
+    monkeypatch.undo()
+    assert session.get_stub("f") == (0, b"a" * 100)
+    assert b"f".hex() + ".tmp" in os.listdir(stub_kind(tmp_path))
+    svc.close()
+    svc2 = StorageService(data_root, key_root)
+    session2 = StoreSession(LocalBackend(svc2))
+    assert sorted(os.listdir(stub_kind(tmp_path))) == [b"f".hex(), b"g".hex()]
+    assert session2.stats().stub_bytes == 100 + 40
+    assert session2.get_stub("f") == (0, b"a" * 100)
+    svc2.close()
+
+
+@pytest.mark.parametrize("aside", [False, True], ids=["old-layout", "renamed-aside"])
+def test_old_layout_is_converted_on_open(tmp_path, monkeypatch, aside):
+    # "renamed-aside" is a conversion cut after it moved the directory away.
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    blob0, blob1 = b"version zero", b"version one!!"
+    kinds = [(data_root, "stub"), (key_root, "state")]
+    for root, kind in kinds:
+        obj_dir = os.path.join(root, "blobs", kind, b"f".hex() + (".old" if aside else ""))
+        os.makedirs(obj_dir)
+        for name, data in (("0000000000.bin", blob0), ("0000000001.bin", blob1),
+                           ("CURRENT", b"1")):
+            with open(os.path.join(obj_dir, name), "wb") as fh:
+                fh.write(data)
+    events = []
+    real_fsync, real_rmtree = os.fsync, shutil.rmtree
+    monkeypatch.setattr(os, "fsync", lambda fd: events.append(os.fstat(fd).st_ino)
+                        or real_fsync(fd))
+    monkeypatch.setattr(shutil, "rmtree", lambda path: events.append(path)
+                        or real_rmtree(path))
+    svc = StorageService(data_root, key_root)
+    monkeypatch.undo()
+    session = StoreSession(LocalBackend(svc))
+    assert session.get_stub("f") == (1, blob1)
+    assert session.get_state("f") == (1, blob1)
+    assert session.stats().stub_bytes == len(blob1)
+    for root, kind in kinds:
+        kind_dir = os.path.join(root, "blobs", kind)
+        assert os.listdir(kind_dir) == [b"f".hex()]
+        assert os.path.isfile(os.path.join(kind_dir, b"f".hex()))
+        # the old versions go only once the record's rename is durable
+        at = events.index(os.path.join(kind_dir, b"f".hex() + ".old"))
+        assert events[at - 1] == os.stat(kind_dir).st_ino
+    svc.close()
 
 
 @pytest.mark.parametrize("transport", ["local", "tcp"])
-def test_supersede_below_current_and_unknown_flags_are_refused(service, transport):
+def test_put_below_current_changes_nothing_and_unknown_flags_are_refused(service,
+                                                                         transport):
     with contextlib.ExitStack() as stack:
         backend = LocalBackend(service)
         if transport == "tcp":
@@ -219,15 +283,12 @@ def test_supersede_below_current_and_unknown_flags_are_refused(service, transpor
         session = StoreSession(backend)
         session.put_stub("f", 0, b"v0")
         session.put_stub("f", 2, b"v2")
-        with pytest.raises(VersionConflict):
-            session.put_stub("f", 1, b"v1", supersede=True)
-        with pytest.raises(VersionConflict):  # a version-0 re-upload wipes nothing
-            session.put_stub("f", 0, b"again", supersede=True)
-        assert session.get_stub("f", 0) == (0, b"v0")
+        session.put_stub("f", 1, b"v1")  # an overtaken active rekey
+        session.put_stub("f", 0, b"again")  # a version-0 re-upload
         assert session.get_stub("f") == (2, b"v2")
         payload = bytearray(wire.encode_blob_put("f", 3, b"v3"))
         flags_at = 1 + 4 + len(b"f") + 4
-        for bad in (0x04, 0x80, 0x07):
+        for bad in (0x02, 0x04, 0x80, 0x07):  # 0x02 was the supersede bit
             payload[flags_at] = bad
             with pytest.raises(InvalidOperand, match="flags"):
                 wire.call(backend, wire.MSG_STUB_FILE, bytes(payload))
