@@ -14,6 +14,7 @@ import io
 import json
 import os
 import socket
+import struct
 import threading
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator
@@ -36,6 +37,7 @@ KEYING_CHUNK = "chunk"
 KEYING_SIMILARITY = "similarity"
 TRANSFER_BATCH = 4 * 1024 * 1024
 RECIPE_FORMAT = 1
+_RECIPE_ENTRY = struct.Struct(">32sII")  # fingerprint, chunk length, segment index
 
 
 class Connection:
@@ -82,7 +84,8 @@ class StoreSession:
         body = self._call(wire.MSG_PUT_PACKAGES, wire.encode_package_items(items))
         return wire.Reader(body).u32()
 
-    def get_packages(self, fps: list[bytes]) -> list[bytes]:
+    def get_packages(self, fps: list[bytes]) -> list[memoryview]:
+        """The packages in request order, as views of the reply frame."""
         body = self._call(wire.MSG_GET_PACKAGES, wire.encode_fingerprint_list(fps))
         return wire.decode_byte_list(body)
 
@@ -204,8 +207,7 @@ class Recipe:
                  wire.u64(self.size), wire.u64(len(self.entries)),
                  bytes([self.scheme, 1 if self.keying == KEYING_SIMILARITY else 0]),
                  wire.u32(self.state_version)]
-        for fp, length, seg_idx in self.entries:
-            parts.append(fp + wire.u32(length) + wire.u32(seg_idx))
+        parts.extend(_RECIPE_ENTRY.pack(*entry) for entry in self.entries)
         return b"".join(parts)
 
     @classmethod
@@ -220,7 +222,7 @@ class Recipe:
         scheme = r.u8()
         keying = KEYING_SIMILARITY if r.u8() else KEYING_CHUNK
         state_version = r.u32()
-        entries = [(r.take(32), r.u32(), r.u32()) for _ in range(count)]
+        entries = list(_RECIPE_ENTRY.iter_unpack(r.take(count * _RECIPE_ENTRY.size)))
         r.done()
         recipe = cls(file_id=file_id, pathname=pathname, size=size, scheme=scheme,
                      keying=keying, state_version=state_version, entries=entries)
@@ -382,7 +384,8 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
 def download_to(file_id: str, sink: BinaryIO, *, identity: ClientIdentity,
                 store: StoreSession) -> int:
     """Fetch, verify and write a file to sink one batch at a time; returns
-    its size. Aborts on any tampered chunk, after writing the chunks before it."""
+    its size. Aborts on any tampered chunk, after writing the batches before
+    it."""
     recipe = Recipe.decode(store.get_recipe(file_id))
     # Stub first: an active rekey writes stub version v only after state v
     # commits, and state versions only go up, so the state read next is
@@ -398,14 +401,18 @@ def download_to(file_id: str, sink: BinaryIO, *, identity: ClientIdentity,
     written = 0
     done = 0
     for batch in _batches(recipe.entries, lambda entry: entry[1]):
-        # the batch's packages are dropped before the next batch is fetched
         packages = store.get_packages([fp for fp, _, _ in batch])
-        for package, stub in zip(packages, stubs[done:done + len(batch)]):
-            plain = caont.decrypt_chunk(recipe.scheme, package, stub)
+        plains = [caont.decrypt_chunk(recipe.scheme, package, stub)
+                  for package, stub in zip(packages, stubs[done:done + len(batch)])]
+        # The packages are views of one reply frame. Dropping them before
+        # the sink grows lets an in-memory sink reuse the frame's memory,
+        # instead of mapping fresh pages for every batch.
+        del packages
+        for plain in plains:
             sink.write(plain)
             written += len(plain)
         done += len(batch)
-        del packages
+        del plains  # before the next batch is fetched
     if written != recipe.size:
         raise IntegrityViolation("reassembled size does not match the recipe")
     return written

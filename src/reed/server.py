@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import logging
 import os
 import shutil
 import socketserver
@@ -25,6 +26,7 @@ from .errors import (FingerprintMismatch, InvalidOperand, NotFound, TransportErr
                      VersionConflict)
 
 CONTAINER_SIZE = 4 * 1024 * 1024
+_log = logging.getLogger("reed")
 _INDEX_RECORD = struct.Struct(">32sIII")  # fp, container id, offset, length
 
 
@@ -54,6 +56,11 @@ class FingerprintIndex:
 
     def __contains__(self, fp: bytes) -> bool:
         return fp in self._table
+
+    def length(self, fp: bytes) -> int | None:
+        """The indexed length of fp's package, or None if fp is not indexed."""
+        entry = self._table.get(fp)
+        return None if entry is None else entry[2]
 
     def get(self, fp: bytes) -> tuple[int, int, int]:
         try:
@@ -255,8 +262,17 @@ def _convert_object_dir(obj_dir: str) -> None:
     The directory is renamed aside first, since the record takes its name,
     and removed only after the record's rename is durable, so a crash at any
     step leaves a state that the next open finishes converting.
+
+    An object whose id is longer than MAX_BLOB_ID bytes is removed with a
+    warning: its name plus ".old" would exceed NAME_MAX, and no request can
+    reach it, since _handle_blob refuses such ids.
     """
     path = obj_dir.removesuffix(".old")
+    if len(os.path.basename(path)) > 2 * MAX_BLOB_ID:
+        _log.warning("removing %s of the old blob layout: its id is longer than "
+                     "%d UTF-8 bytes", obj_dir, MAX_BLOB_ID)
+        shutil.rmtree(obj_dir)
+        return
     old = path + ".old"
     if obj_dir != old:
         os.rename(obj_dir, old)
@@ -330,8 +346,21 @@ class StorageService:
     # -- operations --------------------------------------------------------
 
     def store_packages(self, items: list[tuple[bytes, bytes]]) -> int:
-        """Atomically ingest a batch; duplicates cost no container bytes."""
+        """Atomically ingest a batch; duplicates cost no container bytes.
+
+        A package whose fingerprint is already indexed is not hashed, since
+        its body is discarded; it must still have the indexed length, so
+        that logical_bytes counts what the index holds. The index only
+        grows, so a fingerprint found here without the lock stays indexed.
+        """
         for fp, data in items:
+            indexed = self.index.length(fp)
+            if indexed is not None:
+                if len(data) != indexed:
+                    raise FingerprintMismatch(
+                        f"package of {len(data)} bytes for {fp.hex()}, indexed with "
+                        f"{indexed} bytes; batch rejected")
+                continue
             if hashlib.sha256(data).digest() != fp:
                 raise FingerprintMismatch(
                     f"package does not hash to {fp.hex()}; batch rejected")

@@ -160,41 +160,51 @@ class LocalBackend:
 # -- payload codecs --------------------------------------------------------------
 
 
+_U8, _U32, _U64 = struct.Struct(">B"), struct.Struct(">I"), struct.Struct(">Q")
+
+
 class Reader:
     """Cursor over a payload; raises InvalidOperand on truncation.
 
-    The payload may be any buffer, such as the bytearray read_frame returns;
-    every value taken from it is a bytes copy, so fingerprints stay hashable.
+    The payload may be any buffer, such as the bytearray read_frame returns.
+    take() and rest() return bytes copies, so fingerprints stay hashable;
+    view() returns a read-only view of the payload, which keeps the whole
+    payload alive while the view is referenced.
     """
 
-    def __init__(self, data: bytes | bytearray):
-        self._data = memoryview(data)
+    def __init__(self, data: bytes | bytearray | memoryview):
+        self._data = memoryview(data).toreadonly()
         self._pos = 0
 
     @property
     def pos(self) -> int:
         return self._pos
 
-    def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+    def view(self, n: int) -> memoryview:
+        end = self._pos + n
+        if end > len(self._data):
             raise errors.InvalidOperand("truncated payload")
-        out = bytes(self._data[self._pos:self._pos + n])
-        self._pos += n
+        out = self._data[self._pos:end]
+        self._pos = end
         return out
+
+    def take(self, n: int) -> bytes:
+        return bytes(self.view(n))
 
     def rest(self) -> bytes:
-        out = bytes(self._data[self._pos:])
-        self._pos = len(self._data)
-        return out
+        return self.take(len(self._data) - self._pos)
+
+    def _unpack(self, fmt: struct.Struct) -> int:
+        return fmt.unpack(self.view(fmt.size))[0]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self._unpack(_U8)
 
     def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        return self._unpack(_U32)
 
     def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
+        return self._unpack(_U64)
 
     def bytes_u32(self) -> bytes:
         return self.take(self.u32())
@@ -212,11 +222,11 @@ class Reader:
 
 
 def u32(value: int) -> bytes:
-    return struct.pack(">I", value)
+    return _U32.pack(value)
 
 
 def u64(value: int) -> bytes:
-    return struct.pack(">Q", value)
+    return _U64.pack(value)
 
 
 def prefixed(data: bytes) -> bytes:
@@ -234,9 +244,9 @@ def encode_fingerprint_list(fps: list[bytes]) -> bytes:
 
 def decode_fingerprint_list(payload: bytes) -> list[bytes]:
     r = Reader(payload)
-    fps = [r.take(32) for _ in range(r.u32())]
+    region = r.take(32 * r.u32())
     r.done()
-    return fps
+    return [region[i:i + 32] for i in range(0, len(region), 32)]
 
 
 def encode_package_items(items: list[tuple[bytes, bytes]]) -> bytes:
@@ -250,9 +260,10 @@ def encode_package_items(items: list[tuple[bytes, bytes]]) -> bytes:
     return b"".join(parts)
 
 
-def decode_package_items(payload: bytes) -> list[tuple[bytes, bytes]]:
+def decode_package_items(payload: bytes) -> list[tuple[bytes, memoryview]]:
+    """(fingerprint, package) pairs; each package is a view of the payload."""
     r = Reader(payload)
-    items = [(r.take(32), r.bytes_u32()) for _ in range(r.u32())]
+    items = [(r.take(32), r.view(r.u32())) for _ in range(r.u32())]
     r.done()
     return items
 
@@ -265,9 +276,10 @@ def encode_byte_list(blobs: list[bytes]) -> bytes:
     return b"".join(parts)
 
 
-def decode_byte_list(payload: bytes) -> list[bytes]:
+def decode_byte_list(payload: bytes) -> list[memoryview]:
+    """The blobs of encode_byte_list, each a view of the payload."""
     r = Reader(payload)
-    blobs = [r.bytes_u32() for _ in range(r.u32())]
+    blobs = [r.view(r.u32()) for _ in range(r.u32())]
     r.done()
     return blobs
 

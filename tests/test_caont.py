@@ -126,6 +126,17 @@ def test_self_xor_zero_extends_ragged_tail():
     assert caont.self_xor(data) == expected
 
 
+@pytest.mark.parametrize("length", [1, 8, 31, 32, 33, 64, 100, 9000, 9248])
+def test_self_xor_matches_a_loop_over_pieces(length):
+    data = random.Random(length).randbytes(length)
+    expected = bytes(32)
+    for at in range(0, length, 32):
+        piece = data[at:at + 32]
+        expected = xor(expected, piece + bytes(32 - len(piece)))
+    assert caont.self_xor(data) == expected
+    assert caont.self_xor(memoryview(bytearray(data))) == expected
+
+
 def test_self_xor_rejects_empty():
     with pytest.raises(ValueError):
         caont.self_xor(b"")
@@ -225,6 +236,33 @@ def test_decrypt_rejects_short_package():
         caont.basic_decrypt(b"", os.urandom(64))
     with pytest.raises(PackageTooSmall):
         caont.enhanced_decrypt(b"", os.urandom(64))
+
+
+@pytest.mark.parametrize("scheme", [caont.SCHEME_BASIC, caont.SCHEME_ENHANCED])
+@pytest.mark.parametrize("as_buffer", [
+    bytearray,
+    lambda data: memoryview(bytearray(b"frame" + data))[5:],  # a slice of a frame
+    lambda data: memoryview(data).toreadonly(),
+], ids=["bytearray", "frame-view", "readonly-view"])
+def test_decrypt_accepts_any_buffer(scheme, as_buffer):
+    m, k = os.urandom(9000), os.urandom(32)
+    trimmed, stub = caont.encrypt_chunk(scheme, m, k)
+    assert caont.decrypt_chunk(scheme, as_buffer(trimmed), as_buffer(stub)) == m
+    tampered = bytearray(trimmed)
+    tampered[100] ^= 1
+    with pytest.raises(IntegrityViolation):
+        caont.decrypt_chunk(scheme, as_buffer(bytes(tampered)), as_buffer(stub))
+
+
+@pytest.mark.parametrize("scheme", [caont.SCHEME_BASIC, caont.SCHEME_ENHANCED])
+def test_decrypt_rejects_a_stub_of_the_wrong_size(scheme):
+    trimmed, stub = caont.encrypt_chunk(scheme, os.urandom(100), os.urandom(32))
+    for bad in (stub[:-1], stub + b"\x00", b""):
+        with pytest.raises(IntegrityViolation, match="64 bytes"):
+            caont.decrypt_chunk(scheme, trimmed, bad)
+    # the same package bytes split at another point are refused as well
+    with pytest.raises(IntegrityViolation, match="64 bytes"):
+        caont.decrypt_chunk(scheme, trimmed + stub[:1], stub[1:])
 
 
 def test_scheme_dispatch():

@@ -8,6 +8,7 @@ logged on the server; and the client refuses a reply of the wrong type.
 
 import logging
 import os
+import random
 import re
 import socket
 import struct
@@ -153,3 +154,18 @@ def test_bad_recipe_is_an_integrity_violation(corrupt):
     assert Recipe.decode(recipe).size == 3
     with pytest.raises(IntegrityViolation):
         Recipe.decode(corrupt(recipe))
+
+
+def test_recipe_entries_keep_their_layout():
+    rng = random.Random(12)
+    entries = [(rng.randbytes(32), rng.randint(1, 1 << 20), i // 7) for i in range(1000)]
+    recipe = Recipe(file_id="ab" * 32, pathname="dir/f", size=sum(e[1] for e in entries),
+                    scheme=1, keying="similarity", state_version=3, entries=entries)
+    blob = recipe.encode()
+    # each entry is fingerprint || u32 length || u32 segment index, in order
+    region = b"".join(fp + wire.u32(length) + wire.u32(seg) for fp, length, seg in entries)
+    assert blob.endswith(region)
+    assert Recipe.decode(bytearray(blob)) == recipe
+    for cut in (1, 40):  # a torn entry, and one entry fewer than the count
+        with pytest.raises(InvalidOperand, match="truncated"):
+            Recipe.decode(blob[:-cut])

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import logging
 import os
 import random
 import shutil
@@ -84,6 +85,101 @@ def test_fingerprint_mismatch_rejects_batch(service, session):
         session.put_packages([good, bad])
     assert session.stats().physical_bytes == 0
     assert good[0] not in service.index
+
+
+def session_over(svc, transport: str, stack: contextlib.ExitStack) -> StoreSession:
+    backend = LocalBackend(svc)
+    if transport == "tcp":
+        server = FrameServer(svc).start()
+        stack.callback(server.stop)
+        backend = stack.enter_context(Connection(*server.address))
+    return StoreSession(backend)
+
+
+def read_containers(data_root: str) -> bytes:
+    croot = os.path.join(data_root, "containers")
+    parts = []
+    for name in sorted(os.listdir(croot)):
+        with open(os.path.join(croot, name), "rb") as fh:
+            parts.append(fh.read())
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_indexed_duplicate_is_acknowledged_by_its_length(tmp_path, transport):
+    # The body of an indexed fingerprint is discarded unhashed, so a
+    # same-length forgery is acknowledged without touching a container.
+    data_root = str(tmp_path / "data")
+    svc = StorageService(data_root, str(tmp_path / "keys"))
+    with contextlib.ExitStack() as stack:
+        stack.callback(svc.close)
+        session = session_over(svc, transport, stack)
+        fp, data = item(os.urandom(3000))
+        session.put_packages([(fp, data)])
+        before = read_containers(data_root)
+        assert session.put_packages([(fp, os.urandom(3000))]) == 0
+        assert read_containers(data_root) == before
+        assert session.get_packages([fp]) == [data]
+        stats = session.stats()
+        assert (stats.logical_bytes, stats.physical_bytes) == (6000, 3000)
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_indexed_duplicate_of_another_length_rejects_the_batch(tmp_path, transport):
+    svc = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
+    with contextlib.ExitStack() as stack:
+        stack.callback(svc.close)
+        session = session_over(svc, transport, stack)
+        fp, data = item(os.urandom(3000))
+        session.put_packages([(fp, data)])
+        fresh = item(os.urandom(500))
+        for forged in (data[:-1], data + b"x"):
+            with pytest.raises(FingerprintMismatch, match="indexed with 3000 bytes"):
+                session.put_packages([fresh, (fp, forged)])
+        assert fresh[0] not in svc.index
+        stats = session.stats()
+        assert (stats.logical_bytes, stats.physical_bytes) == (3000, 3000)
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_new_package_with_a_wrong_body_rejects_a_batch_of_duplicates(tmp_path, transport):
+    svc = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
+    with contextlib.ExitStack() as stack:
+        stack.callback(svc.close)
+        session = session_over(svc, transport, stack)
+        dup = item(os.urandom(3000))
+        session.put_packages([dup])
+        good = item(os.urandom(700))
+        bad = (hashlib.sha256(b"other").digest(), os.urandom(700))
+        with pytest.raises(FingerprintMismatch, match="does not hash"):
+            session.put_packages([dup, good, bad])
+        assert good[0] not in svc.index and bad[0] not in svc.index
+        stats = session.stats()
+        assert (stats.logical_bytes, stats.physical_bytes) == (3000, 3000)
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_indexed_packages_are_not_hashed(tmp_path, transport, monkeypatch):
+    svc = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
+    with contextlib.ExitStack() as stack:
+        stack.callback(svc.close)
+        session = session_over(svc, transport, stack)
+        old = [item(os.urandom(1000 + i)) for i in range(3)]
+        session.put_packages(old)
+        new = item(os.urandom(2000))
+        hashed = []
+        real_sha256 = hashlib.sha256
+
+        def sha256(data=b""):
+            hashed.append(bytes(data))
+            return real_sha256(data)
+
+        monkeypatch.setattr(hashlib, "sha256", sha256)
+        assert session.put_packages(old + [new] + old) == 1
+        monkeypatch.undo()
+        assert hashed == [new[1]]
+        assert session.get_packages([fp for fp, _ in old + [new]]) == \
+            [data for _, data in old + [new]]
 
 
 def test_unknown_fingerprint_not_found(session):
@@ -269,6 +365,34 @@ def test_old_layout_is_converted_on_open(tmp_path, monkeypatch, aside):
         at = events.index(os.path.join(kind_dir, b"f".hex() + ".old"))
         assert events[at - 1] == os.stat(kind_dir).st_ino
     svc.close()
+
+
+@pytest.mark.parametrize("length", [126, 127])
+def test_old_layout_object_with_an_unreachable_id_is_removed(tmp_path, caplog, length):
+    # The hex name of such an id plus ".old" exceeds NAME_MAX, and no
+    # request can name it any more (ids are capped at 125 UTF-8 bytes).
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    long_id = "u" * length
+    for root, kind, obj_id in ((key_root, "userkey", long_id), (data_root, "stub", long_id),
+                               (data_root, "stub", "f")):
+        obj_dir = os.path.join(root, "blobs", kind, obj_id.encode("utf-8").hex())
+        os.makedirs(obj_dir)
+        for name, data in (("0000000000.bin", b"x" * 50), ("CURRENT", b"0")):
+            with open(os.path.join(obj_dir, name), "wb") as fh:
+                fh.write(data)
+    with caplog.at_level(logging.WARNING, logger="reed"):
+        svc = StorageService(data_root, key_root)
+    try:
+        warned = [r for r in caplog.records
+                  if r.name == "reed" and "longer than 125 UTF-8 bytes" in r.getMessage()]
+        assert len(warned) == 2
+        assert os.listdir(os.path.join(key_root, "blobs", "userkey")) == []
+        assert os.listdir(os.path.join(data_root, "blobs", "stub")) == [b"f".hex()]
+        session = StoreSession(LocalBackend(svc))
+        assert session.stats().stub_bytes == 50
+        assert session.get_stub("f") == (0, b"x" * 50)
+    finally:
+        svc.close()
 
 
 @pytest.mark.parametrize("transport", ["local", "tcp"])
@@ -545,6 +669,30 @@ def test_fingerprints_decoded_from_a_received_buffer_are_bytes():
     got = wire.decode_fingerprint_list(bytearray(wire.encode_fingerprint_list(fps)))
     assert all(type(fp) is bytes for fp in got)
     assert set(got) == set(fps)
+
+
+def test_fingerprint_list_shorter_than_its_count_is_rejected():
+    payload = wire.encode_fingerprint_list([os.urandom(32) for _ in range(2)])
+    with pytest.raises(InvalidOperand, match="truncated"):
+        wire.decode_fingerprint_list(bytearray(payload[:-1]))
+
+
+def test_package_lists_decode_as_views_of_the_frame():
+    blobs = [os.urandom(n) for n in (0, 1, 700)]
+    frame = bytearray(wire.encode_byte_list(blobs))
+    got = wire.decode_byte_list(frame)
+    assert all(type(view) is memoryview and view.readonly for view in got)
+    assert [bytes(view) for view in got] == blobs
+    frame[-1] ^= 0xFF  # a view, not a copy, sees the frame change
+    assert got[-1][-1] == blobs[-1][-1] ^ 0xFF
+
+    items = [(os.urandom(32), blob) for blob in blobs]
+    frame = bytearray(wire.encode_package_items(items))
+    got_items = wire.decode_package_items(frame)
+    assert all(type(fp) is bytes and type(view) is memoryview for fp, view in got_items)
+    assert [(fp, bytes(view)) for fp, view in got_items] == items
+    frame[-1] ^= 0xFF
+    assert got_items[-1][1][-1] == blobs[-1][-1] ^ 0xFF
 
 
 def test_unknown_message_type_is_rejected(service):
