@@ -51,11 +51,18 @@ class Connection:
         self._lock = threading.Lock()
 
     def request(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
+        """One exchange. A failed one (a timeout, a reset, an oversized
+        reply) leaves the stream out of step, so it closes the socket and
+        every later request raises TransportError."""
         with self._lock:
             try:
                 wire.write_frame(self._sock, msg_type, payload)
                 return wire.read_frame(self._sock)
-            except (ConnectionError, OSError) as exc:
+            except TransportError:
+                self.close()
+                raise
+            except OSError as exc:
+                self.close()
                 raise TransportError(str(exc)) from exc
 
     def close(self) -> None:
@@ -371,7 +378,7 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
 
     state = new_state(identity.user_id, identity.derivation)
     stub_blob = caont.encrypt_stub_file(stubs, derive_file_key(state))
-    wrapped = wrap_state(state, directory.keys(), directory)
+    wrapped = wrap_state(state, directory)
     recipe = Recipe(file_id=file_id, pathname=path,
                     size=sum(length for _, length, _ in entries), scheme=scheme,
                     keying=keying, state_version=state.version, entries=entries)

@@ -175,25 +175,20 @@ def resolve_policy(store, policy: Iterable[str]) -> dict[str, rsa.RSAPublicKey]:
     return directory
 
 
-def wrap_state(state: KeyState, policy: Iterable[str],
-               directory: Mapping[str, rsa.RSAPublicKey]) -> bytes:
-    """Wrap a state under an any-of policy over user identifiers.
+def wrap_state(state: KeyState, directory: Mapping[str, rsa.RSAPublicKey]) -> bytes:
+    """Wrap a state under an any-of policy: every member of directory, in
+    its order (resolve_policy's is sorted), with their public access key.
 
     Layout: version(4) || user count(4) || per user (id, encapsulation,
     each length-prefixed) || nonce || state ciphertext || tag. The header is
     bound to the ciphertext as authenticated data, so any tampering fails
-    the unwrap.
+    the unwrap. An empty directory is refused, since nobody could unwrap.
     """
-    members = sorted(set(policy))
-    if not members:
+    if not directory:
         raise PolicyEmpty("policy must authorize at least one user")
     content_key = secrets.token_bytes(32)
-    header = [struct.pack(">I", state.version), struct.pack(">I", len(members))]
-    for user in members:
-        try:
-            pub = directory[user]
-        except KeyError:
-            raise UnknownUser(f"no registered public access key for {user!r}") from None
+    header = [struct.pack(">I", state.version), struct.pack(">I", len(directory))]
+    for user, pub in directory.items():
         uid = user.encode("utf-8")
         enc = pub.encrypt(content_key, _OAEP)
         header.append(struct.pack(">I", len(uid)) + uid)
@@ -280,7 +275,7 @@ def rekey(store, *, file_id: str, new_policy: Iterable[str], mode: str,
         raise NotOwner(f"{user_id!r} does not own this file")
     new = wind(state, derivation)
     directory = resolve_policy(store, new_policy)
-    new_wrapped = wrap_state(new, directory.keys(), directory)
+    new_wrapped = wrap_state(new, directory)
     store.put_state(file_id, new.version, new_wrapped, expected_prev=current_version)
 
     if mode == ACTIVE:

@@ -4,8 +4,10 @@ Trimmed packages are deduplicated by their SHA-256 fingerprint and packed
 into append-only 4MB containers. Recipes and stub files live under the data
 root; wrapped key states and user public keys live under a separate key
 root, each as one record of its current version only (see BlobStore). The
-index is an append-only log replayed into memory at startup, so
-acknowledged writes survive a restart.
+index is an append-only log replayed into memory at startup. It is the one
+durable record of an acknowledged package batch: each batch appends its new
+package records and a batch record of its logical bytes with one fsync, so
+the log also holds the store's logical and physical byte counts.
 """
 
 from __future__ import annotations
@@ -28,28 +30,74 @@ from .errors import (FingerprintMismatch, InvalidOperand, NotFound, TransportErr
 CONTAINER_SIZE = 4 * 1024 * 1024
 _log = logging.getLogger("reed")
 _INDEX_RECORD = struct.Struct(">32sIII")  # fp, container id, offset, length
+_BATCH_FP = bytes(32)  # no package hashes to it; the record's length is logical bytes
+_MAX_LENGTH = 0xFFFFFFFF
+
+
+def _batch_records(logical: int) -> list[bytes]:
+    """Batch records carrying logical bytes: one, or more if the count
+    exceeds a record's u32 length."""
+    full, rest = divmod(logical, _MAX_LENGTH)
+    return [_INDEX_RECORD.pack(_BATCH_FP, 0, 0, n) for n in [_MAX_LENGTH] * full + [rest]]
 
 
 class FingerprintIndex:
-    """fingerprint -> (container, offset, length), backed by an append log."""
+    """fingerprint -> (container, offset, length), backed by an append log,
+    plus the store's logical and physical byte counts.
+
+    A batch is one append: its new package records, then a batch record,
+    which has the zero fingerprint and the batch's logical bytes as its
+    length, and never enters the table. Replay keeps the log up to its last
+    batch record and cuts the rest, which no batch acknowledged.
+
+    A root written before batch records kept its logical bytes in
+    counters.json. If the log holds no batch record yet, its whole records
+    count as acknowledged, and batch records carrying the count are
+    appended before the file is removed; one that does was converted
+    before.
+    """
 
     def __init__(self, path: str):
-        self._path = path
+        root = os.path.dirname(path)
+        counters = os.path.join(root, "counters.json")
+        legacy_logical = None
+        if os.path.exists(counters):
+            with open(counters) as fh:
+                legacy_logical = json.load(fh).get("logical_bytes", 0)
         self._table: dict[bytes, tuple[int, int, int]] = {}
+        self.logical_bytes = 0
+        self.physical_bytes = 0
+        data = b""
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 data = fh.read()
-            usable = len(data) - len(data) % _INDEX_RECORD.size
-            for off in range(0, usable, _INDEX_RECORD.size):
-                fp, cid, coff, length = _INDEX_RECORD.unpack_from(data, off)
-                self._table[fp] = (cid, coff, length)
-            if usable < len(data):
-                # A partial record is the tail of a batch that was never
-                # acknowledged; appending after it would misalign every
-                # later record.
-                with open(path, "r+b") as fh:
-                    fh.truncate(usable)
+        kept, pending = 0, []
+        whole = len(data) - len(data) % _INDEX_RECORD.size
+        for off in range(0, whole, _INDEX_RECORD.size):
+            fp, cid, coff, length = _INDEX_RECORD.unpack_from(data, off)
+            if fp != _BATCH_FP:
+                pending.append((fp, cid, coff, length))
+                continue
+            self._apply(pending, length)
+            pending = []
+            kept = off + _INDEX_RECORD.size
+        converting = legacy_logical is not None and kept == 0
+        if converting:
+            self._apply(pending, legacy_logical)
+            kept = whole
+        if kept < len(data):
+            with open(path, "r+b") as fh:
+                fh.truncate(kept)
         self._fh = open(path, "ab")
+        try:
+            if converting:
+                self._write(b"".join(_batch_records(legacy_logical)))
+            if legacy_logical is not None:
+                os.remove(counters)
+            _fsync_dir(root)  # the log's name, and the removal
+        except BaseException:
+            self._fh.close()
+            raise
 
     def __len__(self) -> int:
         return len(self._table)
@@ -71,13 +119,25 @@ class FingerprintIndex:
     def entries(self):
         return self._table.items()
 
-    def append(self, records: list[tuple[bytes, int, int, int]]) -> None:
-        buf = b"".join(_INDEX_RECORD.pack(*rec) for rec in records)
+    def append(self, records: list[tuple[bytes, int, int, int]], logical: int) -> None:
+        """Make a batch durable: its new records and its batch record in one
+        append and one fsync. A batch with no bytes writes nothing."""
+        if not records and not logical:
+            return
+        self._write(b"".join([_INDEX_RECORD.pack(*rec) for rec in records]
+                             + _batch_records(logical)))
+        self._apply(records, logical)
+
+    def _write(self, buf: bytes) -> None:
         self._fh.write(buf)
         self._fh.flush()
         os.fsync(self._fh.fileno())
+
+    def _apply(self, records, logical: int) -> None:
         for fp, cid, coff, length in records:
             self._table[fp] = (cid, coff, length)
+            self.physical_bytes += length
+        self.logical_bytes += logical
 
     def close(self) -> None:
         self._fh.close()
@@ -89,10 +149,11 @@ class ContainerStore:
     def __init__(self, root: str, capacity: int = CONTAINER_SIZE):
         self.root = root
         self.capacity = capacity
-        os.makedirs(root, exist_ok=True)
+        _make_dirs(root)
         self._open_id = 0
         self._open_size = 0
         self._fh = None
+        self._unsynced_name = False
 
     def _path(self, cid: int) -> str:
         return os.path.join(self.root, f"{cid:08d}.bin")
@@ -125,6 +186,9 @@ class ContainerStore:
     def _ensure_open(self):
         if self._fh is None:
             self._fh = open(self._path(self._open_id), "ab")
+            # A container with no indexed bytes may be new, and a new file's
+            # name is durable only once its directory is fsynced.
+            self._unsynced_name = self._open_size == 0
 
     def append(self, data: bytes) -> tuple[int, int]:
         if len(data) > self.capacity:
@@ -143,6 +207,9 @@ class ContainerStore:
         if self._fh is not None:
             self._fh.flush()
             os.fsync(self._fh.fileno())
+            if self._unsynced_name:
+                _fsync_dir(self.root)
+                self._unsynced_name = False
 
     def read_many(self, cid: int, spans: list[tuple[int, int]]) -> list[bytes]:
         """Read several (offset, length) spans with one container open.
@@ -186,6 +253,18 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def _make_dirs(path: str) -> None:
+    """os.makedirs that fsyncs the parent of each directory it creates, so
+    that files made in it later are not lost with its name."""
+    if os.path.isdir(path):
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    _make_dirs(parent)
+    with contextlib.suppress(FileExistsError):
+        os.mkdir(path)
+    _fsync_dir(parent)
+
+
 _VERSION = struct.Struct(">I")
 MAX_BLOB_ID = 125  # UTF-8 bytes, so that the hex name plus ".tmp" fits NAME_MAX
 
@@ -203,7 +282,7 @@ class BlobStore:
 
     def __init__(self, root: str):
         self.root = root
-        os.makedirs(root, exist_ok=True)
+        _make_dirs(root)
         self._lock = threading.Lock()
         self._sizes: dict[str, int] = {}  # kind -> stored blob bytes
         for kind in os.listdir(root):
@@ -232,7 +311,7 @@ class BlobStore:
                     current = _VERSION.unpack(fh.read(_VERSION.size))[0]
                     old_size = os.fstat(fh.fileno()).st_size - _VERSION.size
             except FileNotFoundError:
-                os.makedirs(os.path.dirname(path), exist_ok=True)
+                _make_dirs(os.path.dirname(path))
             if expected_prev is not None and current != expected_prev:
                 raise VersionConflict(
                     f"{kind}/{obj_id}: current version is {current}, expected {expected_prev}")
@@ -317,8 +396,8 @@ class StorageService:
 
     def __init__(self, data_root: str, key_root: str,
                  container_size: int = CONTAINER_SIZE):
-        os.makedirs(data_root, exist_ok=True)
-        os.makedirs(key_root, exist_ok=True)
+        _make_dirs(data_root)
+        _make_dirs(key_root)
         self.data_root = data_root
         self.key_root = key_root
         self._lock = threading.RLock()
@@ -328,38 +407,33 @@ class StorageService:
         self.containers.recover(self.index)
         self.data_blobs = BlobStore(os.path.join(data_root, "blobs"))
         self.key_blobs = BlobStore(os.path.join(key_root, "blobs"))
-        self._counters_path = os.path.join(data_root, "counters.json")
-        self._logical = 0
-        if os.path.exists(self._counters_path):
-            with open(self._counters_path) as fh:
-                self._logical = json.load(fh).get("logical_bytes", 0)
-        self._physical = sum(length for _, (_, _, length) in self.index.entries())
 
     def close(self) -> None:
         self.containers.close()
         self.index.close()
-
-    def _persist_counters(self) -> None:
-        _atomic_write(self._counters_path,
-                      json.dumps({"logical_bytes": self._logical}).encode("ascii"))
 
     # -- operations --------------------------------------------------------
 
     def store_packages(self, items: list[tuple[bytes, bytes]]) -> int:
         """Atomically ingest a batch; duplicates cost no container bytes.
 
-        A package whose fingerprint is already indexed is not hashed, since
-        its body is discarded; it must still have the indexed length, so
-        that logical_bytes counts what the index holds. The index only
-        grows, so a fingerprint found here without the lock stays indexed.
+        The batch is acknowledged once its index append is fsynced. A
+        fingerprint is hashed once per batch: an indexed one, or a later
+        copy of a new one, is discarded unhashed, but must have the length
+        the fingerprint is known by, so that logical_bytes counts what the
+        index holds. The index only grows, so a fingerprint found here
+        without the lock stays indexed.
         """
+        fresh: dict[bytes, int] = {}  # fingerprints new to the index -> length
         for fp, data in items:
-            indexed = self.index.length(fp)
-            if indexed is not None:
-                if len(data) != indexed:
+            known = self.index.length(fp)
+            if known is None:
+                known = fresh.get(fp)
+            if known is not None:
+                if len(data) != known:
                     raise FingerprintMismatch(
                         f"package of {len(data)} bytes for {fp.hex()}, indexed with "
-                        f"{indexed} bytes; batch rejected")
+                        f"{known} bytes; batch rejected")
                 continue
             if hashlib.sha256(data).digest() != fp:
                 raise FingerprintMismatch(
@@ -368,23 +442,17 @@ class StorageService:
                 raise InvalidOperand(
                     f"package of {len(data)} bytes exceeds the container size "
                     f"{self.containers.capacity}; batch rejected")
+            fresh[fp] = len(data)
         with self._lock:
             records = []
-            seen: set[bytes] = set()
-            new_bytes = 0
             for fp, data in items:
-                if fp in self.index or fp in seen:
+                if fresh.pop(fp, None) is None or fp in self.index:
                     continue
                 cid, off = self.containers.append(data)
                 records.append((fp, cid, off, len(data)))
-                seen.add(fp)
-                new_bytes += len(data)
             if records:
                 self.containers.flush()
-                self.index.append(records)
-            self._logical += sum(len(data) for _, data in items)
-            self._physical += new_bytes
-            self._persist_counters()
+            self.index.append(records, sum(len(data) for _, data in items))
             return len(records)
 
     def get_packages(self, fps: list[bytes]) -> list[bytes]:
@@ -404,8 +472,8 @@ class StorageService:
     def stats(self) -> ServerStats:
         with self._lock:
             return ServerStats(
-                logical_bytes=self._logical,
-                physical_bytes=self._physical,
+                logical_bytes=self.index.logical_bytes,
+                physical_bytes=self.index.physical_bytes,
                 stub_bytes=self.data_blobs.stored_bytes("stub"),
                 container_count=self.containers.count,
                 index_entries=len(self.index),

@@ -170,8 +170,7 @@ def test_criterion_05_key_regression_and_decryptability():
     from reed.rekeying import generate_access_keypair, wrap_state
     alice_key, bob_key = generate_access_keypair(), generate_access_keypair()
     next_state = wind(states[-1], owner)
-    new_wrap = wrap_state(next_state, ["alice"],
-                          {"alice": alice_key.public_key()})
+    new_wrap = wrap_state(next_state, {"alice": alice_key.public_key()})
     with pytest.raises(AccessDenied):
         unwrap_state(new_wrap, bob_key, "bob")
     report(5, "key regression chain and decryptability matrix")

@@ -6,12 +6,15 @@ inside a service reaches the peer as an incident id only, with the detail
 logged on the server; and the client refuses a reply of the wrong type.
 """
 
+import contextlib
 import logging
 import os
 import random
 import re
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
@@ -142,6 +145,62 @@ def test_oversized_frame_is_answered_then_the_connection_closes(manager_keypair)
             assert KeySession(conn).public_key.n == manager_keypair.n
     finally:
         server.stop()
+
+
+class SlowFirstReply:
+    """Answers its first request after the client has given up on it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def handle_frame(self, msg_type, payload, client_id):
+        self.calls += 1
+        if self.calls == 1:
+            time.sleep(0.4)
+            return b"first"
+        return b"second"
+
+
+def test_a_timed_out_exchange_closes_the_connection():
+    server = FrameServer(SlowFirstReply()).start()
+    conn = Connection(*server.address)
+    conn._sock.settimeout(0.1)
+    try:
+        with pytest.raises(TransportError):
+            conn.request(wire.MSG_STATS, b"")
+        time.sleep(0.5)  # the late reply to the first request has arrived
+        with pytest.raises(TransportError):
+            conn.request(wire.MSG_STATS, b"")
+    finally:
+        conn.close()
+        server.stop()
+
+
+def test_an_oversized_reply_closes_the_connection():
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        # an oversized reply header, then a good reply to the next request
+        peer, _ = listener.accept()
+        with peer, contextlib.suppress(ConnectionError):
+            wire.read_frame(peer)
+            peer.sendall(struct.pack(">IB", wire.MAX_FRAME + 1,
+                                     wire.MSG_STATS | wire.RESP_FLAG))
+            wire.read_frame(peer)
+            wire.write_frame(peer, wire.MSG_STATS | wire.RESP_FLAG, b"second")
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    conn = Connection(*listener.getsockname())
+    try:
+        with pytest.raises(TransportError, match="exceeds the limit"):
+            conn.request(wire.MSG_STATS, b"")
+        with pytest.raises(TransportError):
+            conn.request(wire.MSG_STATS, b"")
+    finally:
+        conn.close()
+        thread.join(timeout=5)
+        listener.close()
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -17,6 +17,8 @@ from reed.client import Connection, StoreSession
 from reed.errors import (FingerprintMismatch, InvalidOperand, NotFound,
                          StorageUnavailable, VersionConflict)
 from reed.server import FrameServer, StorageService
+
+INDEX_RECORD_SIZE = 44  # fingerprint, container id, offset, length
 from reed.wire import LocalBackend
 
 
@@ -180,6 +182,35 @@ def test_indexed_packages_are_not_hashed(tmp_path, transport, monkeypatch):
         assert hashed == [new[1]]
         assert session.get_packages([fp for fp, _ in old + [new]]) == \
             [data for _, data in old + [new]]
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_copies_of_a_new_fingerprint_are_hashed_once(tmp_path, transport, monkeypatch):
+    svc = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
+    with contextlib.ExitStack() as stack:
+        stack.callback(svc.close)
+        session = session_over(svc, transport, stack)
+        x = item(os.urandom(2000))
+        calls = []
+        real_sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda data=b"": calls.append(1) or real_sha256(data))
+        assert session.put_packages([x, x, x]) == 1
+        monkeypatch.undo()
+        assert len(calls) == 1
+        stats = session.stats()
+        assert (stats.logical_bytes, stats.physical_bytes) == (6000, 2000)
+
+
+def test_a_later_copy_of_a_new_fingerprint_with_another_length_rejects_the_batch(
+        service, session):
+    other, x = item(os.urandom(300)), item(os.urandom(2000))
+    for forged in (x[1][:-1], x[1] + b"x"):
+        with pytest.raises(FingerprintMismatch, match="with 2000 bytes"):
+            session.put_packages([other, x, (x[0], forged)])
+    assert other[0] not in service.index and x[0] not in service.index
+    stats = session.stats()
+    assert (stats.logical_bytes, stats.physical_bytes, stats.index_entries) == (0, 0, 0)
 
 
 def test_unknown_fingerprint_not_found(session):
@@ -590,27 +621,207 @@ def test_reading_the_open_container_issues_no_fsync(session, monkeypatch):
     assert calls == []
 
 
-def test_counters_are_fsynced_before_they_replace_the_old_file(service, session,
-                                                                monkeypatch):
+def sync_events(monkeypatch) -> list:
+    """Each fsync as ("fsync", inode) and each rename, from now on."""
     events = []
-    real_fsync, real_replace = os.fsync, os.replace
+    real_fsync, real_replace, real_rename = os.fsync, os.replace, os.rename
 
     def fsync(fd):
         events.append(("fsync", os.fstat(fd).st_ino))
         real_fsync(fd)
 
-    def replace(src, dst):
-        events.append(("replace", os.stat(src).st_ino, os.path.basename(dst)))
-        real_replace(src, dst)
+    def renamer(name, real):
+        def rename(src, dst):
+            events.append((name, src, dst))
+            real(src, dst)
+        return rename
 
     monkeypatch.setattr(os, "fsync", fsync)
-    monkeypatch.setattr(os, "replace", replace)
-    session.put_packages([item(os.urandom(500))])
-    at = next(i for i, e in enumerate(events)
-              if e[0] == "replace" and e[2] == "counters.json")
-    assert events[at - 1] == ("fsync", events[at][1])
-    with open(service._counters_path) as fh:
-        assert json.load(fh) == {"logical_bytes": 500}
+    monkeypatch.setattr(os, "replace", renamer("replace", real_replace))
+    monkeypatch.setattr(os, "rename", renamer("rename", real_rename))
+    return events
+
+
+def inode(path) -> int:
+    return os.stat(path).st_ino
+
+
+def test_a_batch_is_one_index_fsync_after_its_container_and_renames_nothing(
+        service, session, tmp_path, monkeypatch):
+    data_root = tmp_path / "data"
+    container, index = data_root / "containers" / "00000000.bin", data_root / "index.log"
+    events = sync_events(monkeypatch)
+    first = item(os.urandom(500))
+    session.put_packages([first])  # creates the container
+    assert events == [("fsync", inode(container)),
+                      ("fsync", inode(data_root / "containers")),
+                      ("fsync", inode(index))]
+    events.clear()
+    session.put_packages([item(os.urandom(700)), first])
+    assert events == [("fsync", inode(container)), ("fsync", inode(index))]
+    events.clear()
+    session.put_packages([first, first])  # duplicates only
+    assert events == [("fsync", inode(index))]
+    events.clear()
+    session.put_packages([])  # no bytes, so nothing to make durable
+    assert events == []
+    assert "counters.json" not in os.listdir(data_root)
+    assert (session.stats().logical_bytes, session.stats().physical_bytes) == (2700, 1200)
+
+
+def test_rotation_syncs_the_new_container_and_its_directory_before_the_index(
+        tmp_path, monkeypatch):
+    data_root = tmp_path / "data"
+    svc = StorageService(str(data_root), str(tmp_path / "keys"), container_size=8192)
+    session = StoreSession(LocalBackend(svc))
+    session.put_packages([item(os.urandom(3000)) for _ in range(2)])
+    events = sync_events(monkeypatch)
+    session.put_packages([item(os.urandom(3000)) for _ in range(2)])  # rotates
+    croot = data_root / "containers"
+    assert events == [("fsync", inode(croot / "00000000.bin")),
+                      ("fsync", inode(croot / "00000001.bin")),
+                      ("fsync", inode(croot)),
+                      ("fsync", inode(data_root / "index.log"))]
+    svc.close()
+
+
+def test_open_syncs_each_directory_it_creates_and_the_log_it_creates(tmp_path,
+                                                                     monkeypatch):
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        synced.append((os.fstat(fd).st_ino, sorted(os.listdir(fd))))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    data_root = tmp_path / "root" / "data"
+    svc = StorageService(str(data_root), str(tmp_path / "keys"))
+    monkeypatch.undo()
+    assert (inode(tmp_path), ["keys", "root"]) in synced
+    assert (inode(tmp_path / "root"), ["data"]) in synced
+    assert (inode(data_root), ["index.log"]) in synced
+    assert (inode(data_root), ["blobs", "containers", "index.log"]) in synced
+    assert (inode(tmp_path / "keys"), ["blobs"]) in synced
+    svc.close()
+
+
+def test_a_log_tail_without_its_batch_record_is_cut_with_its_container_bytes(tmp_path):
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    index = os.path.join(data_root, "index.log")
+    svc = StorageService(data_root, key_root)
+    session = StoreSession(LocalBackend(svc))
+    acked = [item(os.urandom(1000)) for _ in range(2)]
+    session.put_packages(acked)
+    kept, before = os.path.getsize(index), session.stats()
+    cut = [item(os.urandom(1000)) for _ in range(2)]
+    session.put_packages(cut + acked)
+    svc.close()
+    # the second batch's package records and container bytes landed, and
+    # its batch record did not
+    with open(index, "r+b") as fh:
+        fh.truncate(os.path.getsize(index) - INDEX_RECORD_SIZE)
+    svc = StorageService(data_root, key_root)
+    session = StoreSession(LocalBackend(svc))
+    assert os.path.getsize(index) == kept
+    assert session.stats() == before
+    assert all(fp not in svc.index for fp, _ in cut)
+    assert container_bytes(data_root) == 2000
+    assert session.get_packages([fp for fp, _ in acked]) == [d for _, d in acked]
+    svc.close()
+
+
+def test_a_batch_naming_the_zero_fingerprint_is_refused(tmp_path):
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    svc = StorageService(data_root, key_root)
+    session = StoreSession(LocalBackend(svc))
+    session.put_packages([item(os.urandom(100))])
+    before = session.stats()
+    for data in (b"", os.urandom(100)):
+        with pytest.raises(FingerprintMismatch):
+            session.put_packages([item(os.urandom(50)), (bytes(32), data)])
+    assert session.stats() == before
+    svc.close()
+    svc = StorageService(data_root, key_root)
+    assert StoreSession(LocalBackend(svc)).stats() == before
+    assert bytes(32) not in svc.index
+    svc.close()
+
+
+def make_old_root(data_root: str) -> None:
+    """Rewrite a data root into the layout before batch records: an index
+    log of package records only, and the logical bytes in counters.json."""
+    index = os.path.join(data_root, "index.log")
+    with open(index, "rb") as fh:
+        log = fh.read()
+    records = [log[off:off + INDEX_RECORD_SIZE]
+               for off in range(0, len(log), INDEX_RECORD_SIZE)]
+    batches = [r for r in records if r[:32] == bytes(32)]
+    logical = sum(struct.unpack(">32sIII", r)[3] for r in batches)
+    with open(index, "wb") as fh:
+        fh.write(b"".join(r for r in records if r not in batches))
+        fh.write(b"\xee" * 20)  # a torn record, which the old open cut too
+    with open(os.path.join(data_root, "counters.json"), "w") as fh:
+        json.dump({"logical_bytes": logical}, fh)
+
+
+def batch_records(data_root: str) -> list[int]:
+    with open(os.path.join(data_root, "index.log"), "rb") as fh:
+        log = fh.read()
+    return [length for fp, _, _, length in struct.iter_unpack(">32sIII", log)
+            if fp == bytes(32)]
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut-after-append"])
+def test_an_old_root_is_converted_once(tmp_path, monkeypatch, cut):
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    svc = StorageService(data_root, key_root, container_size=8192)
+    session = StoreSession(LocalBackend(svc))
+    first = [item(os.urandom(3000)) for _ in range(3)]
+    session.put_packages(first)
+    session.put_packages(first + [item(os.urandom(2000))])
+    session.put_packages(first)
+    before = session.stats()
+    svc.close()
+    make_old_root(data_root)
+    if cut:
+        real_remove = os.remove
+
+        def remove(path):
+            if os.path.basename(path) == "counters.json":
+                raise OSError("process died here")
+            real_remove(path)
+
+        monkeypatch.setattr(os, "remove", remove)
+        with pytest.raises(OSError, match="process died"):
+            StorageService(data_root, key_root, container_size=8192)
+        monkeypatch.undo()
+        assert os.path.exists(os.path.join(data_root, "counters.json"))
+    for _ in range(2):
+        svc = StorageService(data_root, key_root, container_size=8192)
+        session = StoreSession(LocalBackend(svc))
+        assert session.stats() == before
+        assert "counters.json" not in os.listdir(data_root)
+        assert batch_records(data_root) == [before.logical_bytes]
+        assert session.get_packages([fp for fp, _ in first]) == [d for _, d in first]
+        svc.close()
+    svc = StorageService(data_root, key_root, container_size=8192)
+    StoreSession(LocalBackend(svc)).put_packages(first)
+    assert svc.stats().logical_bytes == before.logical_bytes + 9000
+    svc.close()
+
+
+def test_an_old_count_beyond_a_record_length_converts_whole(tmp_path):
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    os.makedirs(data_root)
+    logical = 5 * 2**32 + 7
+    with open(os.path.join(data_root, "counters.json"), "w") as fh:
+        json.dump({"logical_bytes": logical}, fh)
+    for _ in range(2):
+        svc = StorageService(data_root, key_root)
+        assert svc.stats().logical_bytes == logical
+        svc.close()
+    assert sum(batch_records(data_root)) == logical
 
 
 # -- TCP framing --------------------------------------------------------------------------
