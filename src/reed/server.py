@@ -50,11 +50,14 @@ class FingerprintIndex:
     length, and never enters the table. Replay keeps the log up to its last
     batch record and cuts the rest, which no batch acknowledged.
 
-    A root written before batch records kept its logical bytes in
-    counters.json. If the log holds no batch record yet, its whole records
-    count as acknowledged, and batch records carrying the count are
-    appended before the file is removed; one that does was converted
-    before.
+    A new log starts with an empty batch record, so a log with whole
+    records and no batch record was written before batch records existed.
+    Such a log is converted once and never cut: all of its whole records
+    count as acknowledged, and a batch record carrying the logical bytes of
+    the old root's counters.json is appended before that file is removed.
+    If that file is missing, the records' own bytes are counted, with a
+    warning. A log that holds a batch record was converted before, and only
+    loses the file.
     """
 
     def __init__(self, path: str):
@@ -81,17 +84,24 @@ class FingerprintIndex:
             self._apply(pending, length)
             pending = []
             kept = off + _INDEX_RECORD.size
-        converting = legacy_logical is not None and kept == 0
-        if converting:
-            self._apply(pending, legacy_logical)
+        unmarked = kept == 0  # a new log, or one written before batch records
+        if unmarked:
+            logical = legacy_logical
+            if logical is None:
+                logical = sum(rec[3] for rec in pending)
+                if pending:
+                    _log.warning("%s holds package records and no batch record, and "
+                                 "%s is missing; counting their %d bytes as the logical "
+                                 "bytes", path, counters, logical)
+            self._apply(pending, logical)
             kept = whole
         if kept < len(data):
             with open(path, "r+b") as fh:
                 fh.truncate(kept)
         self._fh = open(path, "ab")
         try:
-            if converting:
-                self._write(b"".join(_batch_records(legacy_logical)))
+            if unmarked:
+                self._write(b"".join(_batch_records(logical)))
             if legacy_logical is not None:
                 os.remove(counters)
             _fsync_dir(root)  # the log's name, and the removal
@@ -153,7 +163,6 @@ class ContainerStore:
         self._open_id = 0
         self._open_size = 0
         self._fh = None
-        self._unsynced_name = False
 
     def _path(self, cid: int) -> str:
         return os.path.join(self.root, f"{cid:08d}.bin")
@@ -186,9 +195,10 @@ class ContainerStore:
     def _ensure_open(self):
         if self._fh is None:
             self._fh = open(self._path(self._open_id), "ab")
-            # A container with no indexed bytes may be new, and a new file's
-            # name is durable only once its directory is fsynced.
-            self._unsynced_name = self._open_size == 0
+            if self._open_size == 0:
+                # a container with no indexed bytes may be new, and a new
+                # file's name is durable only once its directory is fsynced
+                _fsync_dir(self.root)
 
     def append(self, data: bytes) -> tuple[int, int]:
         if len(data) > self.capacity:
@@ -207,9 +217,6 @@ class ContainerStore:
         if self._fh is not None:
             self._fh.flush()
             os.fsync(self._fh.fileno())
-            if self._unsynced_name:
-                _fsync_dir(self.root)
-                self._unsynced_name = False
 
     def read_many(self, cid: int, spans: list[tuple[int, int]]) -> list[bytes]:
         """Read several (offset, length) spans with one container open.

@@ -6,6 +6,7 @@ import os
 import random
 import shutil
 import socket
+import stat
 import struct
 import threading
 
@@ -16,9 +17,8 @@ from reed import wire
 from reed.client import Connection, StoreSession
 from reed.errors import (FingerprintMismatch, InvalidOperand, NotFound,
                          StorageUnavailable, VersionConflict)
+from reed.server import _INDEX_RECORD as INDEX_RECORD
 from reed.server import FrameServer, StorageService
-
-INDEX_RECORD_SIZE = 44  # fingerprint, container id, offset, length
 from reed.wire import LocalBackend
 
 
@@ -653,8 +653,8 @@ def test_a_batch_is_one_index_fsync_after_its_container_and_renames_nothing(
     events = sync_events(monkeypatch)
     first = item(os.urandom(500))
     session.put_packages([first])  # creates the container
-    assert events == [("fsync", inode(container)),
-                      ("fsync", inode(data_root / "containers")),
+    assert events == [("fsync", inode(data_root / "containers")),
+                      ("fsync", inode(container)),
                       ("fsync", inode(index))]
     events.clear()
     session.put_packages([item(os.urandom(700)), first])
@@ -679,8 +679,8 @@ def test_rotation_syncs_the_new_container_and_its_directory_before_the_index(
     session.put_packages([item(os.urandom(3000)) for _ in range(2)])  # rotates
     croot = data_root / "containers"
     assert events == [("fsync", inode(croot / "00000000.bin")),
-                      ("fsync", inode(croot / "00000001.bin")),
                       ("fsync", inode(croot)),
+                      ("fsync", inode(croot / "00000001.bin")),
                       ("fsync", inode(data_root / "index.log"))]
     svc.close()
 
@@ -691,7 +691,9 @@ def test_open_syncs_each_directory_it_creates_and_the_log_it_creates(tmp_path,
     real_fsync = os.fsync
 
     def fsync(fd):
-        synced.append((os.fstat(fd).st_ino, sorted(os.listdir(fd))))
+        st = os.fstat(fd)  # a directory with its entries, a file with its size
+        synced.append((st.st_ino, sorted(os.listdir(fd)) if stat.S_ISDIR(st.st_mode)
+                       else st.st_size))
         real_fsync(fd)
 
     monkeypatch.setattr(os, "fsync", fsync)
@@ -700,7 +702,9 @@ def test_open_syncs_each_directory_it_creates_and_the_log_it_creates(tmp_path,
     monkeypatch.undo()
     assert (inode(tmp_path), ["keys", "root"]) in synced
     assert (inode(tmp_path / "root"), ["data"]) in synced
-    assert (inode(data_root), ["index.log"]) in synced
+    # the log's empty batch record, then the log's name
+    marked = (inode(data_root / "index.log"), INDEX_RECORD.size)
+    assert synced.index(marked) < synced.index((inode(data_root), ["index.log"]))
     assert (inode(data_root), ["blobs", "containers", "index.log"]) in synced
     assert (inode(tmp_path / "keys"), ["blobs"]) in synced
     svc.close()
@@ -720,7 +724,7 @@ def test_a_log_tail_without_its_batch_record_is_cut_with_its_container_bytes(tmp
     # the second batch's package records and container bytes landed, and
     # its batch record did not
     with open(index, "r+b") as fh:
-        fh.truncate(os.path.getsize(index) - INDEX_RECORD_SIZE)
+        fh.truncate(os.path.getsize(index) - INDEX_RECORD.size)
     svc = StorageService(data_root, key_root)
     session = StoreSession(LocalBackend(svc))
     assert os.path.getsize(index) == kept
@@ -754,10 +758,10 @@ def make_old_root(data_root: str) -> None:
     index = os.path.join(data_root, "index.log")
     with open(index, "rb") as fh:
         log = fh.read()
-    records = [log[off:off + INDEX_RECORD_SIZE]
-               for off in range(0, len(log), INDEX_RECORD_SIZE)]
+    records = [log[off:off + INDEX_RECORD.size]
+               for off in range(0, len(log), INDEX_RECORD.size)]
     batches = [r for r in records if r[:32] == bytes(32)]
-    logical = sum(struct.unpack(">32sIII", r)[3] for r in batches)
+    logical = sum(INDEX_RECORD.unpack(r)[3] for r in batches)
     with open(index, "wb") as fh:
         fh.write(b"".join(r for r in records if r not in batches))
         fh.write(b"\xee" * 20)  # a torn record, which the old open cut too
@@ -768,7 +772,7 @@ def make_old_root(data_root: str) -> None:
 def batch_records(data_root: str) -> list[int]:
     with open(os.path.join(data_root, "index.log"), "rb") as fh:
         log = fh.read()
-    return [length for fp, _, _, length in struct.iter_unpack(">32sIII", log)
+    return [length for fp, _, _, length in INDEX_RECORD.iter_unpack(log)
             if fp == bytes(32)]
 
 
@@ -822,6 +826,51 @@ def test_an_old_count_beyond_a_record_length_converts_whole(tmp_path):
         assert svc.stats().logical_bytes == logical
         svc.close()
     assert sum(batch_records(data_root)) == logical
+
+
+def test_a_new_log_is_marked_so_a_cut_first_batch_is_dropped(tmp_path):
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    index = os.path.join(data_root, "index.log")
+    svc = StorageService(data_root, key_root)
+    assert batch_records(data_root) == [0]
+    marked = os.path.getsize(index)
+    cut = [item(os.urandom(1000)) for _ in range(2)]
+    StoreSession(LocalBackend(svc)).put_packages(cut)
+    svc.close()
+    with open(index, "r+b") as fh:
+        fh.truncate(os.path.getsize(index) - INDEX_RECORD.size)
+    svc = StorageService(data_root, key_root)
+    assert os.path.getsize(index) == marked
+    assert (svc.stats().logical_bytes, svc.stats().index_entries) == (0, 0)
+    assert container_bytes(data_root) == 0
+    svc.close()
+
+
+def test_an_old_log_without_its_counters_keeps_every_package(tmp_path, caplog):
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    svc = StorageService(data_root, key_root, container_size=8192)
+    session = StoreSession(LocalBackend(svc))
+    items = [item(os.urandom(3000)) for _ in range(4)]
+    session.put_packages(items)
+    session.put_packages(items)
+    before = session.stats()
+    svc.close()
+    make_old_root(data_root)
+    os.remove(os.path.join(data_root, "counters.json"))
+    for _ in range(2):
+        with caplog.at_level(logging.WARNING, logger="reed"):
+            svc = StorageService(data_root, key_root, container_size=8192)
+        session = StoreSession(LocalBackend(svc))
+        stats = session.stats()
+        assert (stats.physical_bytes, stats.index_entries, stats.container_count) == \
+            (before.physical_bytes, before.index_entries, before.container_count)
+        # the old count is gone; the records' own bytes stand in for it
+        assert stats.logical_bytes == before.physical_bytes
+        assert container_bytes(data_root) == before.physical_bytes
+        assert session.get_packages([fp for fp, _ in items]) == [d for _, d in items]
+        svc.close()
+    # converted on the first open, so warned once
+    assert len([r for r in caplog.records if "no batch record" in r.message]) == 1
 
 
 # -- TCP framing --------------------------------------------------------------------------
