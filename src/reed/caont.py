@@ -15,10 +15,16 @@ deduplicable. Two schemes are provided:
 
 Both schemes give |trimmed| == |chunk| and |stub| == 64, and both detect
 every modification of the trimmed package or the stub on reconstruction.
+
+Keystreams are AES-256-CTR from the system libcrypto, called through ctypes
+on one re-keyed cipher context per thread; stub files use AES-GCM from the
+``cryptography`` package.
 """
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import hashlib
 import hmac
 import os
@@ -27,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import AuthenticationFailure, IntegrityViolation, PackageTooSmall
@@ -47,18 +52,100 @@ SCHEME_ENHANCED = 1
 SCHEME_NAMES = {SCHEME_BASIC: "basic", SCHEME_ENHANCED: "enhanced"}
 SCHEME_IDS = {v: k for k, v in SCHEME_NAMES.items()}
 
-# A mode object only holds its nonce, so every cipher shares this one.
-_ZERO_CTR = modes.CTR(bytes(16))
-# Bound once: every attribute read of the algorithms module goes through its
-# deprecation __getattr__, a Python-level call on every chunk.
-_AES = algorithms.AES
+
+def _load_libcrypto() -> ctypes.CDLL:
+    """The system libcrypto, with the EVP cipher calls the keystream uses."""
+    path = ctypes.util.find_library("crypto")
+    if path is None:
+        raise ImportError("reed.caont needs the system libcrypto "
+                          "(OpenSSL 1.1.1 or 3.x), and none was found")
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError as exc:
+        raise ImportError(f"reed.caont cannot load libcrypto from {path}: {exc}") from exc
+    ptr, c_int = ctypes.c_void_p, ctypes.c_int
+    for name, restype, argtypes in [
+            ("EVP_aes_256_ctr", ptr, []),
+            ("EVP_CIPHER_CTX_new", ptr, []),
+            ("EVP_CIPHER_CTX_free", None, [ptr]),
+            ("EVP_EncryptInit_ex", c_int, [ptr, ptr, ptr, ctypes.c_char_p, ctypes.c_char_p]),
+            ("EVP_EncryptUpdate", c_int,
+             [ptr, ptr, ctypes.POINTER(c_int), ctypes.c_char_p, c_int])]:
+        try:
+            func = getattr(lib, name)
+        except AttributeError as exc:
+            raise ImportError(f"libcrypto at {path} lacks {name}: {exc}") from exc
+        func.restype, func.argtypes = restype, argtypes
+    return lib
 
 
-def _keystream_xor(key: bytes, data) -> bytes:
-    # AES-256 in counter mode over a zero initial counter; encrypting data
-    # directly is exactly data XOR keystream(key). CTR is a stream mode, so
-    # finalize() never returns bytes and is not called.
-    return Cipher(_AES(key), _ZERO_CTR).encryptor().update(data)
+_crypto = _load_libcrypto()
+_init = _crypto.EVP_EncryptInit_ex
+_update = _crypto.EVP_EncryptUpdate
+# EVP_EncryptUpdate takes an int length, so one keystream call is capped
+# here; mask() runs longer streams in parts, each from its own counter block,
+# which is why the cap is a whole number of 16-byte blocks.
+_MAX_UPDATE = 1 << 30
+
+
+class _Context:
+    """One thread's EVP_CIPHER_CTX for AES-256-CTR, freed with the thread.
+
+    OpenSSL's own validation and set-up run once here; a keystream call only
+    re-keys the context, which is far cheaper than a new cipher object.
+    """
+
+    __slots__ = ("ctx", "outl", "__weakref__")
+
+    def __init__(self):
+        self.ctx = None
+        ctx = _crypto.EVP_CIPHER_CTX_new()
+        if not ctx:
+            raise MemoryError("EVP_CIPHER_CTX_new failed")
+        self.ctx = ctypes.c_void_p(ctx)
+        if _init(self.ctx, _crypto.EVP_aes_256_ctr(), None, None, None) != 1:
+            raise RuntimeError("EVP_EncryptInit_ex could not set up AES-256-CTR")
+        self.outl = ctypes.pointer(ctypes.c_int())
+
+    def __del__(self, _free=_crypto.EVP_CIPHER_CTX_free):
+        if self.ctx is not None:
+            _free(self.ctx)
+
+
+_contexts = threading.local()
+
+
+def _thread_context() -> _Context:
+    context = getattr(_contexts, "context", None)
+    if context is None:
+        context = _contexts.context = _Context()
+    return context
+
+
+def _keystream_xor(key: bytes, data, counter: int = 0) -> bytes:
+    """data XOR keystream(key): AES-256 in counter mode from the given
+    initial counter block, encrypting data directly. data may be any byte
+    buffer of at most _MAX_UPDATE bytes."""
+    if len(key) != KEY_SIZE:
+        raise ValueError("keystream key must be 32 bytes")
+    if type(key) is not bytes:
+        key = bytes(key)
+    if type(data) is not bytes:
+        data = bytes(data)
+    n = len(data)
+    if n > _MAX_UPDATE:
+        raise ValueError(f"a keystream call takes at most {_MAX_UPDATE} bytes")
+    if not n:
+        return b""  # from_buffer cannot address an empty buffer
+    out = bytearray(n)
+    context = _thread_context()
+    ctx, outl = context.ctx, context.outl
+    if _init(ctx, None, None, key, counter.to_bytes(16, "big")) != 1:
+        raise RuntimeError("EVP_EncryptInit_ex could not re-key the context")
+    dest = ctypes.addressof(ctypes.c_char.from_buffer(out))
+    if _update(ctx, dest, outl, data, n) != 1 or outl.contents.value != n:
+        raise RuntimeError("EVP_EncryptUpdate failed")
+    return bytes(out)
 
 
 # One chunk-key slot per thread. Under similarity keying a run of chunks
@@ -75,8 +162,10 @@ def _chunk_key_xor(key: bytes, data: bytes) -> bytes:
     """data XOR keystream(key), reusing the thread's last chunk-key keystream."""
     slot = getattr(_memo, "slot", None)
     if slot is None or slot[0] != key or len(slot[1]) < len(data):
+        if type(data) is not bytes:
+            data = bytes(data)  # one copy, which the slot keeps
         out = _keystream_xor(key, data)
-        _memo.slot = (key, bytes(data), out)  # a copy only if data is mutable
+        _memo.slot = (key, data, out)
         return out
     if len(slot) == 3:
         stream = np.bitwise_xor(np.frombuffer(slot[1], dtype=np.uint8),
@@ -92,7 +181,9 @@ def mask(key: bytes, length: int) -> bytes:
         raise ValueError("mask key must be 32 bytes")
     if length < 1:
         raise ValueError("mask length must be >= 1")
-    return _keystream_xor(key, bytes(length))
+    return b"".join(_keystream_xor(key, bytes(min(_MAX_UPDATE, length - start)),
+                                   start // 16)
+                    for start in range(0, length, _MAX_UPDATE))
 
 
 def _xor32(a: bytes, b: bytes) -> bytes:

@@ -24,8 +24,8 @@ import threading
 from dataclasses import dataclass
 
 from . import wire
-from .errors import (FingerprintMismatch, InvalidOperand, NotFound, TransportError,
-                     VersionConflict)
+from .errors import (FingerprintMismatch, InvalidOperand, NotFound, StorageUnavailable,
+                     TransportError, VersionConflict)
 
 CONTAINER_SIZE = 4 * 1024 * 1024
 _log = logging.getLogger("reed")
@@ -174,11 +174,26 @@ class ContainerStore:
         container is cut back to its last indexed byte, and container files
         past it (left by a rotation that crashed before its index records
         were written) are removed, so later appends land at the offsets
-        they record.
+        they record. A container that is missing or shorter than its last
+        indexed byte lost acknowledged packages, so the store refuses to
+        open rather than fail each later read of them.
         """
         ends: dict[int, int] = {}
         for _, (cid, off, length) in index.entries():
             ends[cid] = max(ends.get(cid, 0), off + length)
+        for cid, end in sorted(ends.items()):
+            path = self._path(cid)
+            name = os.path.basename(path)
+            try:
+                size = os.path.getsize(path)
+            except FileNotFoundError:
+                raise StorageUnavailable(
+                    f"container {name} is missing: the index records {end} bytes in it"
+                ) from None
+            if size < end:
+                raise StorageUnavailable(
+                    f"container {name} holds {size} bytes, {end - size} short of the "
+                    f"{end} the index records")
         self._open_id = max(ends, default=0)
         self._open_size = ends.get(self._open_id, 0)
         for name in os.listdir(self.root):
@@ -411,7 +426,11 @@ class StorageService:
         self.index = FingerprintIndex(os.path.join(data_root, "index.log"))
         self.containers = ContainerStore(os.path.join(data_root, "containers"),
                                          container_size)
-        self.containers.recover(self.index)
+        try:
+            self.containers.recover(self.index)
+        except BaseException:
+            self.index.close()
+            raise
         self.data_blobs = BlobStore(os.path.join(data_root, "blobs"))
         self.key_blobs = BlobStore(os.path.join(key_root, "blobs"))
 

@@ -260,11 +260,32 @@ def encode_package_items(items: list[tuple[bytes, bytes]]) -> bytes:
     return b"".join(parts)
 
 
+_PACKAGE_HEAD = struct.Struct(">32sI")
+
+
+def _list_view(payload) -> tuple[memoryview, int, int]:
+    """A read-only view of a u32-counted list, its count and first offset."""
+    view = memoryview(payload).toreadonly()
+    if len(view) < _U32.size:
+        raise errors.InvalidOperand("truncated payload")
+    return view, _U32.unpack_from(view)[0], _U32.size
+
+
 def decode_package_items(payload: bytes) -> list[tuple[bytes, memoryview]]:
     """(fingerprint, package) pairs; each package is a view of the payload."""
-    r = Reader(payload)
-    items = [(r.take(32), r.view(r.u32())) for _ in range(r.u32())]
-    r.done()
+    view, count, pos = _list_view(payload)
+    head, size = _PACKAGE_HEAD, len(view)
+    items = []
+    for _ in range(count):
+        if pos + head.size > size:
+            raise errors.InvalidOperand("truncated payload")
+        fp, n = head.unpack_from(view, pos)
+        pos += head.size + n
+        if pos > size:
+            raise errors.InvalidOperand("truncated payload")
+        items.append((fp, view[pos - n:pos]))
+    if pos != size:
+        raise errors.InvalidOperand("trailing bytes in payload")
     return items
 
 
@@ -278,9 +299,19 @@ def encode_byte_list(blobs: list[bytes]) -> bytes:
 
 def decode_byte_list(payload: bytes) -> list[memoryview]:
     """The blobs of encode_byte_list, each a view of the payload."""
-    r = Reader(payload)
-    blobs = [r.view(r.u32()) for _ in range(r.u32())]
-    r.done()
+    view, count, pos = _list_view(payload)
+    size = len(view)
+    blobs = []
+    for _ in range(count):
+        if pos + _U32.size > size:
+            raise errors.InvalidOperand("truncated payload")
+        n = _U32.unpack_from(view, pos)[0]
+        pos += _U32.size + n
+        if pos > size:
+            raise errors.InvalidOperand("truncated payload")
+        blobs.append(view[pos - n:pos])
+    if pos != size:
+        raise errors.InvalidOperand("trailing bytes in payload")
     return blobs
 
 

@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import os
 import random
 import sys
 import threading
+import weakref
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 from reed import caont
@@ -43,6 +46,103 @@ def test_mask_rejects_bad_args():
         caont.mask(b"short", 16)
     with pytest.raises(ValueError):
         caont.mask(os.urandom(32), 0)
+
+
+# -- the keystream, against cryptography's own AES-256-CTR --------------------------------
+
+
+def ctr_reference(key: bytes, data: bytes, counter: int = 0) -> bytes:
+    nonce = counter.to_bytes(16, "big")
+    return Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor().update(data)
+
+
+BUFFER_KINDS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "readonly-view": lambda data: memoryview(bytearray(data)).toreadonly(),
+}
+
+
+@given(st.binary(min_size=32, max_size=32), st.integers(1, 70_000),
+       st.sampled_from(sorted(BUFFER_KINDS)), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_keystream_matches_cryptography(key, length, kind, rng):
+    data = rng.randbytes(length)
+    assert caont._keystream_xor(key, BUFFER_KINDS[kind](data)) == ctr_reference(key, data)
+    assert caont.mask(key, length) == ctr_reference(key, bytes(length))
+
+
+def test_keystream_threads_interleave_keys():
+    # Each thread re-keys its own context between calls; a context shared
+    # by both would mix the keys as the threads switch between calls.
+    rng = random.Random(7)
+    jobs = []
+    for _ in range(2):
+        key = rng.randbytes(32)
+        items = [rng.randbytes(rng.randint(1, 2000)) for _ in range(3000)]
+        jobs.append([(key, data, ctr_reference(key, data)) for data in items])
+    mismatches: list = [None, None]  # stays None if a thread dies
+    start = threading.Barrier(2, timeout=60)
+
+    def work(i):
+        start.wait()
+        mismatches[i] = sum(caont._keystream_xor(key, data) != want
+                            for key, data, want in jobs[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == [0, 0]
+
+
+def test_a_threads_context_is_freed_when_it_ends():
+    refs = []
+
+    def work():
+        caont._keystream_xor(bytes(32), b"x")
+        refs.append(weakref.ref(caont._thread_context()))
+
+    t = threading.Thread(target=work)
+    t.start()
+    t.join()
+    gc.collect()
+    assert refs and refs[0]() is None
+    assert caont._thread_context() is caont._thread_context()
+
+
+def test_mask_runs_a_long_stream_in_parts(monkeypatch):
+    # A stream past one call's cap continues from the next counter block,
+    # as one long CTR pass would.
+    key = os.urandom(32)
+    monkeypatch.setattr(caont, "_MAX_UPDATE", 64)
+    assert caont.mask(key, 1000) == ctr_reference(key, bytes(1000))
+    with pytest.raises(ValueError, match="at most 64 bytes"):
+        caont._keystream_xor(key, bytes(65))
+
+
+def test_keystream_counter_starts_where_asked():
+    key = os.urandom(32)
+    assert caont._keystream_xor(key, bytes(48), 2) == ctr_reference(key, bytes(48), 2)
+    assert caont._keystream_xor(key, bytes(48), 2) == ctr_reference(key, bytes(80))[32:]
+
+
+def test_keystream_of_nothing_is_empty():
+    assert caont._keystream_xor(os.urandom(32), b"") == b""
+    assert caont.mle_decrypt(b"", os.urandom(32)) == b""
+
+
+@pytest.mark.parametrize("key", [b"", bytes(16), bytes(31), bytes(33)])
+def test_keystream_rejects_a_key_of_the_wrong_size(key):
+    with pytest.raises(ValueError, match="32 bytes"):
+        caont._keystream_xor(key, b"data")
 
 
 # -- basic scheme -------------------------------------------------------------------

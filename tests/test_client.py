@@ -8,6 +8,7 @@ import sys
 import warnings
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher
 
 from conftest import assert_one_stub_record
 from reed import caont, cli
@@ -56,6 +57,25 @@ def test_upload_download_identity(ready, identities, tmp_path, size):
                  store=ready.store_session(), keys=ready.key_session())
     got = download(fid, identity=identities["alice"], store=ready.store_session())
     assert got == data
+
+
+@pytest.mark.parametrize("scheme, keying", [(caont.SCHEME_ENHANCED, "similarity"),
+                                             (caont.SCHEME_BASIC, "chunk")],
+                         ids=["enhanced-similarity", "basic-chunk"])
+def test_round_trip_builds_no_cipher_object(ready, identities, tmp_path, monkeypatch,
+                                            scheme, keying):
+    # Every keystream runs on the thread's re-keyed libcrypto context; a
+    # cryptography Cipher per chunk would fail here.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Cipher object was built on the CAONT path")
+
+    data = random.Random(scheme).randbytes(3 << 20)
+    path = write_file(tmp_path, "f.bin", data)
+    store, keys = ready.store_session(), ready.key_session()
+    monkeypatch.setattr(Cipher, "__init__", refuse)
+    fid = upload(path, policy=["alice"], identity=identities["alice"], store=store,
+                 keys=keys, scheme=scheme, keying=keying)
+    assert download(fid, identity=identities["alice"], store=store) == data
 
 
 def test_fixed_mode_round_trip(ready, identities, tmp_path):

@@ -1,11 +1,16 @@
-"""Every name a module under src/reed imports is used in that module.
+"""Import guards for the modules under src/reed.
 
-A stale import after a deletion is dead code that still loads, and it can
-hide a cycle; __init__.py is exempt because its imports are re-exports.
+Every name a module imports is used in that module: a stale import after a
+deletion is dead code that still loads, and it can hide a cycle;
+__init__.py is exempt because its imports are re-exports. No module
+reaches into cryptography's private bindings, and reed.caont says plainly
+when the system libcrypto it needs is absent.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +43,54 @@ def test_every_import_is_used(module):
 
 def test_guard_sees_an_unused_import():
     assert unused_imports("import os\nfrom x import y as z\nz()\n") == ["os (line 1)"]
+
+
+PRIVATE_BINDINGS = "cryptography.hazmat.bindings"
+
+
+def private_binding_imports(source: str) -> list[str]:
+    """The imports that name cryptography's private bindings or a part of
+    them; "from a.b import c" names both a.b and a.b.c."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return sorted(name for name in names
+                  if name == PRIVATE_BINDINGS or name.startswith(PRIVATE_BINDINGS + "."))
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_imports_the_private_cryptography_bindings(module):
+    # The bindings change between the cryptography versions pyproject allows.
+    with open(os.path.join(SRC, module)) as fh:
+        assert private_binding_imports(fh.read()) == [], module
+
+
+def test_bindings_guard_sees_every_import_form():
+    assert private_binding_imports("from cryptography.hazmat import bindings\n") == [
+        PRIVATE_BINDINGS]
+    assert private_binding_imports("import cryptography.hazmat.bindings._rust as r\n") == [
+        PRIVATE_BINDINGS + "._rust"]
+    assert private_binding_imports(
+        "from cryptography.hazmat.primitives.ciphers import Cipher\n") == []
+
+
+def test_caont_without_libcrypto_fails_to_import_naming_it():
+    script = (
+        "import ctypes.util\n"
+        "ctypes.util.find_library = lambda name: None\n"
+        "try:\n"
+        "    import reed.caont\n"
+        "except ImportError as exc:\n"
+        "    print('ImportError:', exc)\n"
+        "else:\n"
+        "    print('imported')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ImportError:")
+    assert "libcrypto" in done.stdout

@@ -611,6 +611,33 @@ def test_restart_removes_container_left_by_rotation(tmp_path):
     svc2.close()
 
 
+@pytest.mark.parametrize("cid, cut, message", [
+    (0, None, "00000000.bin is missing: the index records 6000 bytes in it"),
+    (1, 1, "00000001.bin holds 5999 bytes, 1 short of the 6000 the index records"),
+    (2, 6000, "00000002.bin holds 0 bytes, 6000 short of the 6000 the index records"),
+], ids=["sealed-missing", "sealed-short", "open-emptied"])
+def test_a_container_short_of_its_index_refuses_the_open(tmp_path, cid, cut, message):
+    # Two packages fill each 8 KiB container: 0 and 1 are sealed, 2 is open.
+    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
+    svc = StorageService(data_root, key_root, container_size=8192)
+    StoreSession(LocalBackend(svc)).put_packages([item(os.urandom(3000)) for _ in range(6)])
+    svc.close()
+    containers = os.path.join(data_root, "containers")
+    path = os.path.join(containers, f"{cid:08d}.bin")
+    if cut is None:
+        os.remove(path)
+    else:
+        os.truncate(path, 6000 - cut)
+    before = {name: os.path.getsize(os.path.join(containers, name))
+              for name in os.listdir(containers)}
+    with pytest.raises(StorageUnavailable) as raised:
+        StorageService(data_root, key_root, container_size=8192)
+    assert str(raised.value) == f"container {message}"
+    # the refused open changed no container
+    assert {name: os.path.getsize(os.path.join(containers, name))
+            for name in os.listdir(containers)} == before
+
+
 def test_reading_the_open_container_issues_no_fsync(session, monkeypatch):
     items = [item(os.urandom(700 + i)) for i in range(5)]
     session.put_packages(items)
@@ -953,6 +980,24 @@ def test_package_lists_decode_as_views_of_the_frame():
     assert [(fp, bytes(view)) for fp, view in got_items] == items
     frame[-1] ^= 0xFF
     assert got_items[-1][1][-1] == blobs[-1][-1] ^ 0xFF
+
+
+@pytest.mark.parametrize("decode, encode", [
+    (wire.decode_byte_list, wire.encode_byte_list),
+    (wire.decode_package_items,
+     lambda blobs: wire.encode_package_items([(bytes([i]) * 32, b) for i, b in enumerate(blobs)])),
+], ids=["byte-list", "package-items"])
+def test_package_lists_reject_every_truncation_and_trailing_bytes(decode, encode):
+    payload = encode([b"", b"ab", os.urandom(40)])
+    assert [bytes(x[-1] if isinstance(x, tuple) else x) for x in decode(payload)] == [
+        b"", b"ab", payload[-40:]]
+    for cut in range(len(payload)):
+        with pytest.raises(InvalidOperand, match="truncated"):
+            decode(bytearray(payload[:cut]))
+    with pytest.raises(InvalidOperand, match="trailing"):
+        decode(payload + b"\x00")
+    with pytest.raises(InvalidOperand, match="truncated"):
+        decode(b"\xff\xff\xff\xff")  # a count with no items behind it
 
 
 def test_unknown_message_type_is_rejected(service):
