@@ -16,15 +16,14 @@ deduplicable. Two schemes are provided:
 Both schemes give |trimmed| == |chunk| and |stub| == 64, and both detect
 every modification of the trimmed package or the stub on reconstruction.
 
-Keystreams are AES-256-CTR from the system libcrypto, called through ctypes
-on one re-keyed cipher context per thread; stub files use AES-GCM from the
-``cryptography`` package.
+Keystreams are AES-256-CTR from the libcrypto CPython's hashlib links,
+called through ctypes (``reed.libcrypto``) on one re-keyed cipher context
+per thread; stub files use AES-GCM from the ``cryptography`` package.
 """
 
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import hashlib
 import hmac
 import os
@@ -36,6 +35,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import AuthenticationFailure, IntegrityViolation, PackageTooSmall
+from .libcrypto import lib as _crypto
 
 KEY_SIZE = 32
 TAIL_SIZE = 32
@@ -52,34 +52,6 @@ SCHEME_ENHANCED = 1
 SCHEME_NAMES = {SCHEME_BASIC: "basic", SCHEME_ENHANCED: "enhanced"}
 SCHEME_IDS = {v: k for k, v in SCHEME_NAMES.items()}
 
-
-def _load_libcrypto() -> ctypes.CDLL:
-    """The system libcrypto, with the EVP cipher calls the keystream uses."""
-    path = ctypes.util.find_library("crypto")
-    if path is None:
-        raise ImportError("reed.caont needs the system libcrypto "
-                          "(OpenSSL 1.1.1 or 3.x), and none was found")
-    try:
-        lib = ctypes.CDLL(path)
-    except OSError as exc:
-        raise ImportError(f"reed.caont cannot load libcrypto from {path}: {exc}") from exc
-    ptr, c_int = ctypes.c_void_p, ctypes.c_int
-    for name, restype, argtypes in [
-            ("EVP_aes_256_ctr", ptr, []),
-            ("EVP_CIPHER_CTX_new", ptr, []),
-            ("EVP_CIPHER_CTX_free", None, [ptr]),
-            ("EVP_EncryptInit_ex", c_int, [ptr, ptr, ptr, ctypes.c_char_p, ctypes.c_char_p]),
-            ("EVP_EncryptUpdate", c_int,
-             [ptr, ptr, ctypes.POINTER(c_int), ctypes.c_char_p, c_int])]:
-        try:
-            func = getattr(lib, name)
-        except AttributeError as exc:
-            raise ImportError(f"libcrypto at {path} lacks {name}: {exc}") from exc
-        func.restype, func.argtypes = restype, argtypes
-    return lib
-
-
-_crypto = _load_libcrypto()
 _init = _crypto.EVP_EncryptInit_ex
 _update = _crypto.EVP_EncryptUpdate
 # EVP_EncryptUpdate takes an int length, so one keystream call is capped

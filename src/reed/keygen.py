@@ -30,6 +30,7 @@ from cryptography.hazmat.primitives.asymmetric import rsa
 from . import wire
 from .errors import (InvalidOperand, PrivateKeyFault, RateLimited, SignatureInvalid,
                      TransportError, ZeroFingerprint)
+from .libcrypto import mod_exp
 
 DEFAULT_MODULUS_BITS = 1024
 DEFAULT_RATE_CAPACITY = 10_000
@@ -67,11 +68,16 @@ class RSAKeyPair:
     ``raise_to_d`` computes ``v**d mod n`` by the Chinese remainder theorem
     over p and q (two half-size exponentiations, roughly a third of the work
     of one mod n) and checks the result with the public exponent before
-    returning it. A CRT result computed under a fault (a flipped bit in dp,
-    dq or qinv, or in either half) is correct modulo one prime and wrong
-    modulo the other, which would hand its holder a factor of n (Boneh,
-    DeMillo and Lipton); the check stops such a value from ever leaving the
-    process.
+    returning it. Each half runs in libcrypto's constant-time Montgomery
+    exponentiation (``libcrypto.mod_exp``), so how long a private operation
+    takes does not depend on the bits of d, even for values that a client
+    chooses and sends (Brumley and Boneh). Nothing is cached between calls,
+    so no secret lives outside these fields. Garner's recombination and the
+    public-exponent check stay in Python, apart from the code they check.
+    A CRT result computed under a fault (a flipped bit in dp, dq or qinv,
+    or in either half) is correct modulo one prime and wrong modulo the
+    other, which would hand its holder a factor of n (Boneh, DeMillo and
+    Lipton); the check stops such a value from ever leaving the process.
     """
 
     n: int
@@ -102,8 +108,8 @@ class RSAKeyPair:
 
     def raise_to_d(self, v: int) -> int:
         """``v**d mod n``; raises PrivateKeyFault and returns nothing on a bad result."""
-        m1 = pow(v, self.dp, self.p)
-        m2 = pow(v, self.dq, self.q)
+        m1 = mod_exp(v, self.dp, self.p)
+        m2 = mod_exp(v, self.dq, self.q)
         s = m2 + (self.qinv * (m1 - m2) % self.p) * self.q
         if pow(s, self.e, self.n) != v % self.n:
             raise PrivateKeyFault("private-key result failed the public-exponent check")

@@ -3,8 +3,9 @@
 Every name a module imports is used in that module: a stale import after a
 deletion is dead code that still loads, and it can hide a cycle;
 __init__.py is exempt because its imports are re-exports. No module
-reaches into cryptography's private bindings, and reed.caont says plainly
-when the system libcrypto it needs is absent.
+reaches into cryptography's private bindings, reed.caont says plainly
+when the libcrypto it needs, or one call in it, is absent, and the entry
+points load no module that only a library search would need.
 """
 
 import ast
@@ -78,19 +79,49 @@ def test_bindings_guard_sees_every_import_form():
         "from cryptography.hazmat.primitives.ciphers import Cipher\n") == []
 
 
-def test_caont_without_libcrypto_fails_to_import_naming_it():
-    script = (
-        "import ctypes.util\n"
-        "ctypes.util.find_library = lambda name: None\n"
-        "try:\n"
-        "    import reed.caont\n"
-        "except ImportError as exc:\n"
-        "    print('ImportError:', exc)\n"
-        "else:\n"
-        "    print('imported')\n")
+def run_child(script: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("ImportError:")
-    assert "libcrypto" in done.stdout
+    return done.stdout
+
+
+TRY_CAONT = (
+    "try:\n"
+    "    import reed.caont\n"
+    "except ImportError as exc:\n"
+    "    print('ImportError:', exc)\n"
+    "else:\n"
+    "    print('imported')\n")
+
+
+def test_caont_without_libcrypto_fails_to_import_naming_it():
+    out = run_child("import sys\nsys.modules['_hashlib'] = None\n" + TRY_CAONT)
+    assert out.startswith("ImportError:")
+    assert "libcrypto" in out and "_hashlib" in out
+
+
+@pytest.mark.parametrize("symbol", ["EVP_EncryptUpdate", "BN_mod_exp_mont_consttime"])
+def test_caont_fails_to_import_naming_a_missing_libcrypto_symbol(symbol):
+    # dlsym on the handle finds nothing under this one name
+    out = run_child(
+        "import ctypes\n"
+        "lookup = ctypes.CDLL.__getitem__\n"
+        "def without(lib, name):\n"
+        f"    if name == {symbol!r}:\n"
+        "        raise AttributeError(name)\n"
+        "    return lookup(lib, name)\n"
+        "ctypes.CDLL.__getitem__ = without\n" + TRY_CAONT)
+    assert out.startswith("ImportError:")
+    assert "libcrypto" in out and symbol in out
+
+
+def test_entry_points_load_neither_ctypes_util_nor_subprocess():
+    # ctypes.util alone would bring in subprocess, locale and signal, and a
+    # library search that runs ldconfig in a child process
+    out = run_child(
+        "import sys\n"
+        "import reed.client, reed.server, reed.cli\n"
+        "print(sorted({'ctypes.util', 'subprocess'} & set(sys.modules)))\n")
+    assert out == "[]\n"

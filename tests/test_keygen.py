@@ -14,6 +14,7 @@ from reed.errors import (InvalidOperand, PrivateKeyFault, RateLimited,
                          SignatureInvalid, ZeroFingerprint)
 from reed.keygen import (KEY_CACHE_ENTRIES, KeyManagerService, KeySession,
                          ManagerKeyPair, TokenBucket, blind, derive_chunk_key, unblind)
+from reed.rekeying import DerivationKeyPair, new_state, wind
 from reed.wire import LocalBackend
 
 
@@ -388,6 +389,25 @@ def test_faulty_crt_exponent_never_signs(pair):
     with pytest.raises(PrivateKeyFault):
         out = service.sign_batch([int.from_bytes(os.urandom(32), "big")], "c")
     assert out is None and service.signed_count == 0
+
+
+def test_no_private_exponent_reaches_python_pow(pair, monkeypatch):
+    # Python's pow takes longer or shorter with the bits of its exponent;
+    # a module global named pow shadows the builtin inside reed.keygen.
+    calls = []
+
+    def recording_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(keygen, "pow", recording_pow, raising=False)
+    owner = DerivationKeyPair(n=pair.n, e=pair.e, d=pair.d, p=pair.p, q=pair.q)
+    values = [int.from_bytes(os.urandom(32), "big") for _ in range(3)]
+    KeyManagerService(pair).sign_batch(values, "c")
+    wind(new_state("alice", owner), owner)
+    assert len(calls) >= 4  # the recorder sees the public-exponent checks
+    secret = {pair.d, pair.dp, pair.dq}
+    assert [args for args in calls if len(args) > 1 and args[1] in secret] == []
 
 
 def test_primes_must_match_modulus(pair):
