@@ -7,23 +7,4 @@ key-regression states, so revoking a user never touches the deduplicated
 bulk data.
 """
 
-from . import errors
-from .caont import (SCHEME_BASIC, SCHEME_ENHANCED, basic_decrypt, basic_encrypt,
-                    decrypt_stub_file, encrypt_stub_file, enhanced_decrypt,
-                    enhanced_encrypt, join_package, mask, mle_decrypt,
-                    mle_encrypt, self_xor, split_package)
-from .chunking import (Chunk, ChunkingParams, Segment, SegmentationParams,
-                       fingerprint, fixed_chunk, rabin_chunk, segment)
-from .client import (ClientIdentity, Connection, StoreSession, download,
-                     file_id_for, register_identity, rekey_file, upload)
-from .keygen import (BlindedRequest, KeyManagerService, KeySession,
-                     ManagerKeyPair, ManagerPublicKey, TokenBucket, blind,
-                     unblind)
-from .rekeying import (DerivationKeyPair, KeyState, derive_file_key, new_state,
-                       rekey, unwind, unwind_to, unwrap_state, wind, wrap_state)
-from .server import FrameServer, ServerStats, StorageService
-from .traceharness import (SavingsReport, generate_trace, load_trace,
-                           parse_trace, replay, synthesize_chunk)
-from .wire import LocalBackend
-
 __version__ = "0.1.0"

@@ -55,8 +55,7 @@ SCHEME_IDS = {v: k for k, v in SCHEME_NAMES.items()}
 _init = _crypto.EVP_EncryptInit_ex
 _update = _crypto.EVP_EncryptUpdate
 # EVP_EncryptUpdate takes an int length, so one keystream call is capped
-# here; mask() runs longer streams in parts, each from its own counter block,
-# which is why the cap is a whole number of 16-byte blocks.
+# here; a large fixed chunk size could otherwise reach that limit.
 _MAX_UPDATE = 1 << 30
 
 
@@ -94,10 +93,10 @@ def _thread_context() -> _Context:
     return context
 
 
-def _keystream_xor(key: bytes, data, counter: int = 0) -> bytes:
-    """data XOR keystream(key): AES-256 in counter mode from the given
-    initial counter block, encrypting data directly. data may be any byte
-    buffer of at most _MAX_UPDATE bytes."""
+def _keystream_xor(key: bytes, data) -> bytes:
+    """data XOR keystream(key): AES-256 in counter mode from the zero
+    counter block, encrypting data directly. data may be any byte buffer of
+    at most _MAX_UPDATE bytes."""
     if len(key) != KEY_SIZE:
         raise ValueError("keystream key must be 32 bytes")
     if type(key) is not bytes:
@@ -112,7 +111,7 @@ def _keystream_xor(key: bytes, data, counter: int = 0) -> bytes:
     out = bytearray(n)
     context = _thread_context()
     ctx, outl = context.ctx, context.outl
-    if _init(ctx, None, None, key, counter.to_bytes(16, "big")) != 1:
+    if _init(ctx, None, None, key, bytes(16)) != 1:
         raise RuntimeError("EVP_EncryptInit_ex could not re-key the context")
     dest = ctypes.addressof(ctypes.c_char.from_buffer(out))
     if _update(ctx, dest, outl, data, n) != 1 or outl.contents.value != n:
@@ -147,17 +146,6 @@ def _chunk_key_xor(key: bytes, data: bytes) -> bytes:
     return np.bitwise_xor(view, slot[1][:len(data)]).tobytes()
 
 
-def mask(key: bytes, length: int) -> bytes:
-    """Deterministic pseudo-random stream: AES-256-CTR over a zero block."""
-    if len(key) != KEY_SIZE:
-        raise ValueError("mask key must be 32 bytes")
-    if length < 1:
-        raise ValueError("mask length must be >= 1")
-    return b"".join(_keystream_xor(key, bytes(min(_MAX_UPDATE, length - start)),
-                                   start // 16)
-                    for start in range(0, length, _MAX_UPDATE))
-
-
 def _xor32(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(32, "big")
 
@@ -174,18 +162,6 @@ def self_xor(data) -> bytes:
     # strided reduction down axis 0 of the pieces.
     lanes = np.frombuffer(data, dtype=np.uint64).reshape(-1, PIECE_SIZE // 8).T.copy()
     return np.bitwise_xor.reduce(lanes, axis=1).tobytes()
-
-
-def split_package(package: bytes) -> tuple[bytes, bytes]:
-    """Split a serialized package into (trimmed, stub) at len - STUB_SIZE."""
-    if len(package) <= STUB_SIZE:
-        raise PackageTooSmall(
-            f"package of {len(package)} bytes cannot yield a {STUB_SIZE}-byte stub")
-    return package[:-STUB_SIZE], package[-STUB_SIZE:]
-
-
-def join_package(trimmed: bytes, stub: bytes) -> bytes:
-    return trimmed + stub
 
 
 def basic_encrypt(chunk: bytes, key: bytes) -> tuple[bytes, bytes]:

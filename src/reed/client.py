@@ -163,17 +163,18 @@ class ClientIdentity:
 
     @classmethod
     def load(cls, directory: str) -> "ClientIdentity":
-        with open(os.path.join(directory, "identity.json")) as fh:
+        meta_path = os.path.join(directory, "identity.json")
+        with open(meta_path) as fh:
             meta = json.load(fh)
+        fields = meta["derivation"]
+        if "p" not in fields or "q" not in fields:
+            raise ValueError(f"{meta_path} has no primes p and q: it was written before "
+                             f"identities kept them, and this build does not load it")
         with open(os.path.join(directory, "access_key.pem"), "rb") as fh:
             key = serialization.load_pem_private_key(fh.read(), password=None)
-        fields = meta["derivation"]
-        n, e, d = int(fields["n"], 16), fields["e"], int(fields["d"], 16)
-        if "p" in fields:
-            p, q = int(fields["p"], 16), int(fields["q"], 16)
-        else:  # written before identities kept the primes
-            p, q = rsa.rsa_recover_prime_factors(n, e, d)
-        deriv = DerivationKeyPair(n=n, e=e, d=d, p=p, q=q)
+        deriv = DerivationKeyPair(n=int(fields["n"], 16), e=fields["e"],
+                                  d=int(fields["d"], 16), p=int(fields["p"], 16),
+                                  q=int(fields["q"], 16))
         return cls(user_id=meta["user_id"], access_key=key, derivation=deriv)
 
     def public_record(self) -> bytes:

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
-import logging
 import os
-import shutil
 import socketserver
 import struct
 import threading
@@ -28,7 +25,6 @@ from .errors import (FingerprintMismatch, InvalidOperand, NotFound, StorageUnava
                      TransportError, VersionConflict)
 
 CONTAINER_SIZE = 4 * 1024 * 1024
-_log = logging.getLogger("reed")
 _INDEX_RECORD = struct.Struct(">32sIII")  # fp, container id, offset, length
 _BATCH_FP = bytes(32)  # no package hashes to it; the record's length is logical bytes
 _MAX_LENGTH = 0xFFFFFFFF
@@ -52,21 +48,11 @@ class FingerprintIndex:
 
     A new log starts with an empty batch record, so a log with whole
     records and no batch record was written before batch records existed.
-    Such a log is converted once and never cut: all of its whole records
-    count as acknowledged, and a batch record carrying the logical bytes of
-    the old root's counters.json is appended before that file is removed.
-    If that file is missing, the records' own bytes are counted, with a
-    warning. A log that holds a batch record was converted before, and only
-    loses the file.
+    Such a log is refused before the open writes anything: replay would cut
+    every record, and container recovery would then empty the containers.
     """
 
     def __init__(self, path: str):
-        root = os.path.dirname(path)
-        counters = os.path.join(root, "counters.json")
-        legacy_logical = None
-        if os.path.exists(counters):
-            with open(counters) as fh:
-                legacy_logical = json.load(fh).get("logical_bytes", 0)
         self._table: dict[bytes, tuple[int, int, int]] = {}
         self.logical_bytes = 0
         self.physical_bytes = 0
@@ -84,27 +70,18 @@ class FingerprintIndex:
             self._apply(pending, length)
             pending = []
             kept = off + _INDEX_RECORD.size
-        unmarked = kept == 0  # a new log, or one written before batch records
-        if unmarked:
-            logical = legacy_logical
-            if logical is None:
-                logical = sum(rec[3] for rec in pending)
-                if pending:
-                    _log.warning("%s holds package records and no batch record, and "
-                                 "%s is missing; counting their %d bytes as the logical "
-                                 "bytes", path, counters, logical)
-            self._apply(pending, logical)
-            kept = whole
+        if not kept and pending:
+            raise StorageUnavailable(
+                f"{path} holds package records and no batch record: it was written "
+                f"before batch records existed, and this build does not open it")
         if kept < len(data):
             with open(path, "r+b") as fh:
                 fh.truncate(kept)
         self._fh = open(path, "ab")
         try:
-            if unmarked:
-                self._write(b"".join(_batch_records(logical)))
-            if legacy_logical is not None:
-                os.remove(counters)
-            _fsync_dir(root)  # the log's name, and the removal
+            if not kept:  # a new log, or one whose empty batch record was cut
+                self._write(_INDEX_RECORD.pack(_BATCH_FP, 0, 0, 0))
+            _fsync_dir(os.path.dirname(path))  # the log's name
         except BaseException:
             self._fh.close()
             raise
@@ -300,25 +277,36 @@ class BlobStore:
     changes nothing, because the newer version wins. No older version is
     needed: key regression unwinds the current key state to the file key of
     any older stub file.
+
+    Opening only reads, and refuses a kind directory that holds a
+    directory: that is an object of the layout before one record per blob.
+    recover() then makes the root and removes what unacknowledged puts
+    left behind.
     """
 
     def __init__(self, root: str):
         self.root = root
-        _make_dirs(root)
         self._lock = threading.Lock()
         self._sizes: dict[str, int] = {}  # kind -> stored blob bytes
-        for kind in os.listdir(root):
-            kind_dir = os.path.join(root, kind)
-            names = os.listdir(kind_dir)
-            for name in names:
-                if name.endswith(".tmp"):  # a put that was never acknowledged
-                    os.remove(os.path.join(kind_dir, name))
-            for name in names:
-                if os.path.isdir(os.path.join(kind_dir, name)):
-                    _convert_object_dir(os.path.join(kind_dir, name))
-            self._sizes[kind] = sum(
-                os.path.getsize(os.path.join(kind_dir, name)) - _VERSION.size
-                for name in os.listdir(kind_dir))
+        self._unacknowledged: list[str] = []
+        for kind in os.listdir(root) if os.path.isdir(root) else []:
+            size = 0
+            with os.scandir(os.path.join(root, kind)) as entries:
+                for entry in entries:
+                    if entry.is_dir():
+                        raise StorageUnavailable(
+                            f"{entry.path} is a directory: an object of the blob layout "
+                            f"before one record per blob, which this build does not open")
+                    if entry.name.endswith(".tmp"):  # a put never acknowledged
+                        self._unacknowledged.append(entry.path)
+                    else:
+                        size += entry.stat().st_size - _VERSION.size
+            self._sizes[kind] = size
+
+    def recover(self) -> None:
+        _make_dirs(self.root)
+        for path in self._unacknowledged:
+            os.remove(path)
 
     def _path(self, kind: str, obj_id: str) -> str:
         return os.path.join(self.root, kind, obj_id.encode("utf-8").hex())
@@ -356,39 +344,6 @@ class BlobStore:
             return self._sizes.get(kind, 0)
 
 
-def _convert_object_dir(obj_dir: str) -> None:
-    """Replace an object directory of the old layout (a file per version and
-    a CURRENT pointer) with the record of its current version.
-
-    The directory is renamed aside first, since the record takes its name,
-    and removed only after the record's rename is durable, so a crash at any
-    step leaves a state that the next open finishes converting.
-
-    An object whose id is longer than MAX_BLOB_ID bytes is removed with a
-    warning: its name plus ".old" would exceed NAME_MAX, and no request can
-    reach it, since _handle_blob refuses such ids.
-    """
-    path = obj_dir.removesuffix(".old")
-    if len(os.path.basename(path)) > 2 * MAX_BLOB_ID:
-        _log.warning("removing %s of the old blob layout: its id is longer than "
-                     "%d UTF-8 bytes", obj_dir, MAX_BLOB_ID)
-        shutil.rmtree(obj_dir)
-        return
-    old = path + ".old"
-    if obj_dir != old:
-        os.rename(obj_dir, old)
-    if not os.path.exists(path):
-        try:
-            with open(os.path.join(old, "CURRENT"), "rb") as fh:
-                version = int(fh.read())
-            with open(os.path.join(old, f"{version:010d}.bin"), "rb") as fh:
-                _atomic_write(path, _VERSION.pack(version) + fh.read())
-        except FileNotFoundError:
-            pass  # the object's first put never reached CURRENT
-    _fsync_dir(os.path.dirname(path))
-    shutil.rmtree(old)
-
-
 @dataclass(frozen=True)
 class ServerStats:
     logical_bytes: int
@@ -423,16 +378,19 @@ class StorageService:
         self.data_root = data_root
         self.key_root = key_root
         self._lock = threading.RLock()
+        # A root of an older layout is refused before the open writes to it.
+        self.data_blobs = BlobStore(os.path.join(data_root, "blobs"))
+        self.key_blobs = BlobStore(os.path.join(key_root, "blobs"))
         self.index = FingerprintIndex(os.path.join(data_root, "index.log"))
         self.containers = ContainerStore(os.path.join(data_root, "containers"),
                                          container_size)
         try:
             self.containers.recover(self.index)
+            self.data_blobs.recover()
+            self.key_blobs.recover()
         except BaseException:
             self.index.close()
             raise
-        self.data_blobs = BlobStore(os.path.join(data_root, "blobs"))
-        self.key_blobs = BlobStore(os.path.join(key_root, "blobs"))
 
     def close(self) -> None:
         self.containers.close()

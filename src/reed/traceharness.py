@@ -151,8 +151,7 @@ def generate_trace(seed: int, snapshots: int, chunks_per_snapshot: int,
 
 
 def replay(snapshots: list[list[TraceRecord]], mode: str,
-           avg_segment_size: int = 1_048_576, avg_chunk_size: int = 8192,
-           workdir: str | None = None) -> SavingsReport:
+           avg_segment_size: int = 1_048_576, avg_chunk_size: int = 8192) -> SavingsReport:
     """Feed every snapshot through the upload pipeline's key, transform and
     ship stage (``client.store_chunks``), entering with synthesized chunks.
 
@@ -170,9 +169,7 @@ def replay(snapshots: list[list[TraceRecord]], mode: str,
 
     report = SavingsReport(mode=mode)
     with contextlib.ExitStack() as cleanup:
-        if workdir is None:  # removed on return; a caller's directory is kept
-            workdir = cleanup.enter_context(
-                tempfile.TemporaryDirectory(prefix="reed-trace-"))
+        workdir = cleanup.enter_context(tempfile.TemporaryDirectory(prefix="reed-trace-"))
         service = StorageService(os.path.join(workdir, "data"),
                                  os.path.join(workdir, "keys"))
         cleanup.callback(service.close)

@@ -1,5 +1,6 @@
 import contextlib
 import glob
+import hashlib
 import os
 import shutil
 import tempfile
@@ -44,6 +45,19 @@ def assert_one_stub_record(data_root: str, store, file_id: str) -> None:
     assert [n for n in os.listdir(kind_dir) if n.split(".")[0] == name] == [name]
     assert os.path.isfile(os.path.join(kind_dir, name))
     assert store.stats().stub_bytes == len(store.get_stub(file_id)[1])
+
+
+def tree_digest(root: str) -> str:
+    """Every directory and file under root, with each file's bytes."""
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in sorted(os.walk(root)):
+        dirnames.sort()
+        h.update(b"d" + os.path.relpath(dirpath, root).encode() + b"\0")
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                h.update(b"f" + os.path.relpath(path, root).encode() + b"\0" + fh.read())
+    return h.hexdigest()
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from conftest import tree_digest
 from reed import caont
 from reed.chunking import (ChunkingParams, SegmentationParams, chunk_stream,
                            fingerprint, segment)
@@ -36,18 +37,6 @@ def report(number: int, name: str, detail: str = "") -> None:
     if detail:
         line += f"  ({detail})"
     print(line, file=sys.__stdout__, flush=True)
-
-
-def tree_digest(root: str) -> str:
-    h = hashlib.sha256()
-    for dirpath, dirnames, filenames in sorted(os.walk(root)):
-        dirnames.sort()
-        for name in sorted(filenames):
-            path = os.path.join(dirpath, name)
-            h.update(os.path.relpath(path, root).encode())
-            with open(path, "rb") as fh:
-                h.update(fh.read())
-    return h.hexdigest()
 
 
 def write_file(tmp_path, name: str, data: bytes) -> str:

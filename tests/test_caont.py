@@ -19,41 +19,17 @@ def xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-# -- mask -----------------------------------------------------------------------
-
-
-def test_mask_deterministic():
-    key = os.urandom(32)
-    assert caont.mask(key, 1000) == caont.mask(key, 1000)
-
-
-def test_mask_distinct_keys_differ():
-    assert caont.mask(os.urandom(32), 64) != caont.mask(os.urandom(32), 64)
-
-
-def test_mask_zero_key_reference_block():
-    # reference AES-256-CTR oracle: first counter block under an all-zero key
-    assert caont.mask(bytes(32), 16).hex() == "dc95c078a2408989ad48a21492842087"
-
-
-def test_mask_prefix_property():
-    key = os.urandom(32)
-    assert caont.mask(key, 100)[:40] == caont.mask(key, 40)
-
-
-def test_mask_rejects_bad_args():
-    with pytest.raises(ValueError):
-        caont.mask(b"short", 16)
-    with pytest.raises(ValueError):
-        caont.mask(os.urandom(32), 0)
-
-
 # -- the keystream, against cryptography's own AES-256-CTR --------------------------------
 
 
-def ctr_reference(key: bytes, data: bytes, counter: int = 0) -> bytes:
-    nonce = counter.to_bytes(16, "big")
-    return Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor().update(data)
+def ctr_reference(key: bytes, data: bytes) -> bytes:
+    return Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor().update(data)
+
+
+def test_keystream_zero_key_reference_block():
+    # reference AES-256-CTR oracle: first counter block under an all-zero key
+    assert caont._keystream_xor(bytes(32), bytes(16)).hex() == \
+        "dc95c078a2408989ad48a21492842087"
 
 
 BUFFER_KINDS = {
@@ -69,7 +45,6 @@ BUFFER_KINDS = {
 def test_keystream_matches_cryptography(key, length, kind, rng):
     data = rng.randbytes(length)
     assert caont._keystream_xor(key, BUFFER_KINDS[kind](data)) == ctr_reference(key, data)
-    assert caont.mask(key, length) == ctr_reference(key, bytes(length))
 
 
 def test_keystream_threads_interleave_keys():
@@ -118,20 +93,14 @@ def test_a_threads_context_is_freed_when_it_ends():
     assert caont._thread_context() is caont._thread_context()
 
 
-def test_mask_runs_a_long_stream_in_parts(monkeypatch):
-    # A stream past one call's cap continues from the next counter block,
-    # as one long CTR pass would.
+def test_keystream_refuses_more_than_one_call_takes(monkeypatch):
+    # EVP_EncryptUpdate takes a C int length, which a large fixed chunk size
+    # could reach; the cap is lowered here to test it.
     key = os.urandom(32)
     monkeypatch.setattr(caont, "_MAX_UPDATE", 64)
-    assert caont.mask(key, 1000) == ctr_reference(key, bytes(1000))
+    assert caont._keystream_xor(key, bytes(64)) == ctr_reference(key, bytes(64))
     with pytest.raises(ValueError, match="at most 64 bytes"):
         caont._keystream_xor(key, bytes(65))
-
-
-def test_keystream_counter_starts_where_asked():
-    key = os.urandom(32)
-    assert caont._keystream_xor(key, bytes(48), 2) == ctr_reference(key, bytes(48), 2)
-    assert caont._keystream_xor(key, bytes(48), 2) == ctr_reference(key, bytes(80))[32:]
 
 
 def test_keystream_of_nothing_is_empty():
@@ -204,7 +173,7 @@ def test_mle_deterministic():
 
 def test_mle_of_zeros_equals_mask():
     k = os.urandom(32)
-    assert caont.mle_encrypt(bytes(32), k) == caont.mask(k, 32)
+    assert caont.mle_encrypt(bytes(32), k) == ctr_reference(k, bytes(32))
 
 
 # -- self-xor -----------------------------------------------------------------------
@@ -316,19 +285,7 @@ def test_round_trip_property_both_schemes(m, k):
         assert dec(trimmed, stub) == m
 
 
-# -- package split/join -----------------------------------------------------------------
-
-
-def test_split_join_inverse():
-    package = os.urandom(8256)
-    trimmed, stub = caont.split_package(package)
-    assert len(trimmed) == 8192 and len(stub) == 64
-    assert caont.join_package(trimmed, stub) == package
-
-
-def test_split_rejects_tiny_package():
-    with pytest.raises(PackageTooSmall):
-        caont.split_package(os.urandom(64))
+# -- package shape ----------------------------------------------------------------------
 
 
 def test_decrypt_rejects_short_package():
@@ -397,15 +354,15 @@ def test_known_answer_packages(scheme, digest):
 
 
 def basic_reference(chunk: bytes, key: bytes) -> tuple[bytes, bytes]:
-    head = xor(chunk + caont.CANARY, caont.mask(key, len(chunk) + 32))
+    head = xor(chunk + caont.CANARY, ctr_reference(key, bytes(len(chunk) + 32)))
     tail = xor(key, hashlib.sha256(head).digest())
     return head[:-32], head[-32:] + tail
 
 
 def enhanced_reference(chunk: bytes, key: bytes) -> tuple[bytes, bytes]:
-    inner = xor(chunk, caont.mask(key, len(chunk))) + key
+    inner = ctr_reference(key, chunk) + key
     h = hashlib.sha256(inner).digest()
-    head = xor(inner, caont.mask(h, len(inner)))
+    head = ctr_reference(h, inner)
     tail = xor(caont.self_xor(head), h)
     return head[:-32], head[-32:] + tail
 
@@ -426,8 +383,7 @@ def test_memo_matches_reference(scheme, runs):
         package = caont.encrypt_chunk(scheme, chunk, keys[name])
         assert package == REFERENCE[scheme](chunk, keys[name])
         assert caont.decrypt_chunk(scheme, *package) == chunk
-        assert caont.mle_encrypt(chunk, keys[name]) == \
-            xor(chunk, caont.mask(keys[name], length))
+        assert caont.mle_encrypt(chunk, keys[name]) == ctr_reference(keys[name], chunk)
 
 
 @pytest.mark.parametrize("scheme", [caont.SCHEME_BASIC, caont.SCHEME_ENHANCED])

@@ -1,6 +1,5 @@
 import contextlib
 import gc
-import hashlib
 import json
 import os
 import random
@@ -10,7 +9,7 @@ import warnings
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher
 
-from conftest import assert_one_stub_record
+from conftest import assert_one_stub_record, tree_digest
 from reed import caont, cli
 from reed.chunking import ChunkingParams
 from reed.client import (ClientIdentity, Connection, StoreSession, download,
@@ -18,7 +17,7 @@ from reed.client import (ClientIdentity, Connection, StoreSession, download,
 from reed.errors import (AccessDenied, AuthenticationFailure, IntegrityViolation,
                          NotOwner, PolicyEmpty, SchemeNotAllowed, UnknownUser)
 from reed.keygen import KeySession
-from reed.rekeying import derive_file_key, new_state, unwrap_state, wind
+from reed.rekeying import derive_file_key, unwrap_state
 
 FIXED_8K = ChunkingParams(mode="fixed", fixed_size=8192)
 
@@ -28,18 +27,6 @@ def write_file(tmp_path, name: str, data: bytes) -> str:
     with open(path, "wb") as fh:
         fh.write(data)
     return path
-
-
-def dir_digest(root: str) -> str:
-    h = hashlib.sha256()
-    for dirpath, dirnames, filenames in sorted(os.walk(root)):
-        dirnames.sort()
-        for name in sorted(filenames):
-            path = os.path.join(dirpath, name)
-            h.update(os.path.relpath(path, root).encode())
-            with open(path, "rb") as fh:
-                h.update(fh.read())
-    return h.hexdigest()
 
 
 @pytest.fixture
@@ -192,13 +179,13 @@ def test_active_rekey_moves_only_stub_bytes(ready, identities, tmp_path):
     old_state = unwrap_state(wrapped, identities["alice"].access_key, "alice")
     old_file_key = derive_file_key(old_state)
     containers = os.path.join(ready.data_root, "containers")
-    before = dir_digest(containers)
+    before = tree_digest(containers)
     _, old_stub_blob = store.get_stub(fid)
 
     rekey_file(fid, new_policy=["alice"], mode="active",
                identity=identities["alice"], store=store)
 
-    assert dir_digest(containers) == before  # zero container bytes touched
+    assert tree_digest(containers) == before  # zero container bytes touched
     new_version, new_stub_blob = store.get_stub(fid)
     assert new_version == 1
     assert new_stub_blob != old_stub_blob
@@ -325,7 +312,7 @@ def test_uploads_to_fresh_stores_are_byte_identical(tmp_path, manager_keypair,
             c.register(identities["alice"])
             upload(path, policy=["alice"], identity=identities["alice"],
                    store=c.store_session(), keys=c.key_session())
-            digests.append(dir_digest(os.path.join(c.data_root, "containers")))
+            digests.append(tree_digest(os.path.join(c.data_root, "containers")))
         finally:
             c.stop()
     assert digests[0] == digests[1]
@@ -348,25 +335,6 @@ def test_identity_files_are_private(identities, tmp_path, umask_022, existing):
     for name in names:
         assert os.stat(tmp_path / name).st_mode & 0o077 == 0
     assert ClientIdentity.load(str(tmp_path)).derivation == identities["alice"].derivation
-
-
-def test_identity_without_primes_loads_and_winds_alike(identities, tmp_path):
-    alice = identities["alice"]
-    alice.save(str(tmp_path))
-    meta_path = os.path.join(str(tmp_path), "identity.json")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    meta["derivation"] = {k: meta["derivation"][k] for k in ("n", "e", "d")}
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh)
-    loaded = ClientIdentity.load(str(tmp_path)).derivation
-    assert (loaded.n, loaded.e, loaded.d) == (alice.derivation.n, alice.derivation.e,
-                                              alice.derivation.d)
-    state = new_state("alice", alice.derivation)
-    ours, theirs = state, state
-    for _ in range(3):
-        ours, theirs = wind(ours, alice.derivation), wind(theirs, loaded)
-        assert ours == theirs
 
 
 def test_no_key_material_on_the_wire(ready, identities, tmp_path):
@@ -502,6 +470,26 @@ def test_cli_bad_server_address_exits_with_an_error(tmp_path, capsys):
         fh.write("[client]\nserver = nohost\n")
     assert cli.main(["--config", cfg, "stats"]) == 1
     assert capsys.readouterr().err == "error: expected host:port, got 'nohost'\n"
+
+
+def test_cli_refuses_an_identity_without_primes_naming_its_file(ready, tmp_path, capsys):
+    # identity.json kept only n, e and d before identities kept the primes
+    cfg = make_config(tmp_path, ready, "oldid")
+    assert cli.main(["--config", cfg, "keygen-register", "--user", "oldid"]) == 0
+    identity_dir = os.path.join(str(tmp_path), "oldid-identity")
+    meta_path = os.path.join(identity_dir, "identity.json")
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    meta["derivation"] = {k: meta["derivation"][k] for k in ("n", "e", "d")}
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    before = tree_digest(identity_dir)
+    with pytest.raises(ValueError, match=f"^{meta_path} has no primes p and q"):
+        ClientIdentity.load(identity_dir)
+    capsys.readouterr()
+    assert cli.main(["--config", cfg, "rekey", "ab" * 32, "--policy", "oldid"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {meta_path} has no primes p and q")
+    assert tree_digest(identity_dir) == before
 
 
 def test_cli_bad_recipe_exits_with_an_error(ready, tmp_path, capsys):

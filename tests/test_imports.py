@@ -1,11 +1,11 @@
 """Import guards for the modules under src/reed.
 
-Every name a module imports is used in that module: a stale import after a
-deletion is dead code that still loads, and it can hide a cycle;
-__init__.py is exempt because its imports are re-exports. No module
-reaches into cryptography's private bindings, reed.caont says plainly
-when the libcrypto it needs, or one call in it, is absent, and the entry
-points load no module that only a library search would need.
+Every name a module imports is used in that module, __init__.py included:
+a stale import after a deletion is dead code that still loads, and it can
+hide a cycle. No module reaches into cryptography's private bindings,
+reed.caont says plainly when the libcrypto it needs, or one call in it, is
+absent, and the entry points load no module that only a library search
+would need.
 """
 
 import ast
@@ -17,8 +17,7 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "reed")
-MODULES = sorted(name for name in os.listdir(SRC)
-                 if name.endswith(".py") and name != "__init__.py")
+MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -63,7 +62,7 @@ def private_binding_imports(source: str) -> list[str]:
                   if name == PRIVATE_BINDINGS or name.startswith(PRIVATE_BINDINGS + "."))
 
 
-@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+@pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_the_private_cryptography_bindings(module):
     # The bindings change between the cryptography versions pyproject allows.
     with open(os.path.join(SRC, module)) as fh:

@@ -1,10 +1,8 @@
 import contextlib
 import hashlib
 import json
-import logging
 import os
 import random
-import shutil
 import socket
 import stat
 import struct
@@ -12,13 +10,13 @@ import threading
 
 import pytest
 
-from conftest import assert_one_stub_record
+from conftest import assert_one_stub_record, tree_digest
 from reed import wire
 from reed.client import Connection, StoreSession
 from reed.errors import (FingerprintMismatch, InvalidOperand, NotFound,
                          StorageUnavailable, VersionConflict)
 from reed.server import _INDEX_RECORD as INDEX_RECORD
-from reed.server import FrameServer, StorageService
+from reed.server import FingerprintIndex, FrameServer, StorageService
 from reed.wire import LocalBackend
 
 
@@ -361,69 +359,6 @@ def test_put_cut_at_its_rename_keeps_the_previous_version(tmp_path, monkeypatch)
     assert session2.stats().stub_bytes == 100 + 40
     assert session2.get_stub("f") == (0, b"a" * 100)
     svc2.close()
-
-
-@pytest.mark.parametrize("aside", [False, True], ids=["old-layout", "renamed-aside"])
-def test_old_layout_is_converted_on_open(tmp_path, monkeypatch, aside):
-    # "renamed-aside" is a conversion cut after it moved the directory away.
-    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
-    blob0, blob1 = b"version zero", b"version one!!"
-    kinds = [(data_root, "stub"), (key_root, "state")]
-    for root, kind in kinds:
-        obj_dir = os.path.join(root, "blobs", kind, b"f".hex() + (".old" if aside else ""))
-        os.makedirs(obj_dir)
-        for name, data in (("0000000000.bin", blob0), ("0000000001.bin", blob1),
-                           ("CURRENT", b"1")):
-            with open(os.path.join(obj_dir, name), "wb") as fh:
-                fh.write(data)
-    events = []
-    real_fsync, real_rmtree = os.fsync, shutil.rmtree
-    monkeypatch.setattr(os, "fsync", lambda fd: events.append(os.fstat(fd).st_ino)
-                        or real_fsync(fd))
-    monkeypatch.setattr(shutil, "rmtree", lambda path: events.append(path)
-                        or real_rmtree(path))
-    svc = StorageService(data_root, key_root)
-    monkeypatch.undo()
-    session = StoreSession(LocalBackend(svc))
-    assert session.get_stub("f") == (1, blob1)
-    assert session.get_state("f") == (1, blob1)
-    assert session.stats().stub_bytes == len(blob1)
-    for root, kind in kinds:
-        kind_dir = os.path.join(root, "blobs", kind)
-        assert os.listdir(kind_dir) == [b"f".hex()]
-        assert os.path.isfile(os.path.join(kind_dir, b"f".hex()))
-        # the old versions go only once the record's rename is durable
-        at = events.index(os.path.join(kind_dir, b"f".hex() + ".old"))
-        assert events[at - 1] == os.stat(kind_dir).st_ino
-    svc.close()
-
-
-@pytest.mark.parametrize("length", [126, 127])
-def test_old_layout_object_with_an_unreachable_id_is_removed(tmp_path, caplog, length):
-    # The hex name of such an id plus ".old" exceeds NAME_MAX, and no
-    # request can name it any more (ids are capped at 125 UTF-8 bytes).
-    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
-    long_id = "u" * length
-    for root, kind, obj_id in ((key_root, "userkey", long_id), (data_root, "stub", long_id),
-                               (data_root, "stub", "f")):
-        obj_dir = os.path.join(root, "blobs", kind, obj_id.encode("utf-8").hex())
-        os.makedirs(obj_dir)
-        for name, data in (("0000000000.bin", b"x" * 50), ("CURRENT", b"0")):
-            with open(os.path.join(obj_dir, name), "wb") as fh:
-                fh.write(data)
-    with caplog.at_level(logging.WARNING, logger="reed"):
-        svc = StorageService(data_root, key_root)
-    try:
-        warned = [r for r in caplog.records
-                  if r.name == "reed" and "longer than 125 UTF-8 bytes" in r.getMessage()]
-        assert len(warned) == 2
-        assert os.listdir(os.path.join(key_root, "blobs", "userkey")) == []
-        assert os.listdir(os.path.join(data_root, "blobs", "stub")) == [b"f".hex()]
-        session = StoreSession(LocalBackend(svc))
-        assert session.stats().stub_bytes == 50
-        assert session.get_stub("f") == (0, b"x" * 50)
-    finally:
-        svc.close()
 
 
 @pytest.mark.parametrize("transport", ["local", "tcp"])
@@ -803,58 +738,6 @@ def batch_records(data_root: str) -> list[int]:
             if fp == bytes(32)]
 
 
-@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut-after-append"])
-def test_an_old_root_is_converted_once(tmp_path, monkeypatch, cut):
-    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
-    svc = StorageService(data_root, key_root, container_size=8192)
-    session = StoreSession(LocalBackend(svc))
-    first = [item(os.urandom(3000)) for _ in range(3)]
-    session.put_packages(first)
-    session.put_packages(first + [item(os.urandom(2000))])
-    session.put_packages(first)
-    before = session.stats()
-    svc.close()
-    make_old_root(data_root)
-    if cut:
-        real_remove = os.remove
-
-        def remove(path):
-            if os.path.basename(path) == "counters.json":
-                raise OSError("process died here")
-            real_remove(path)
-
-        monkeypatch.setattr(os, "remove", remove)
-        with pytest.raises(OSError, match="process died"):
-            StorageService(data_root, key_root, container_size=8192)
-        monkeypatch.undo()
-        assert os.path.exists(os.path.join(data_root, "counters.json"))
-    for _ in range(2):
-        svc = StorageService(data_root, key_root, container_size=8192)
-        session = StoreSession(LocalBackend(svc))
-        assert session.stats() == before
-        assert "counters.json" not in os.listdir(data_root)
-        assert batch_records(data_root) == [before.logical_bytes]
-        assert session.get_packages([fp for fp, _ in first]) == [d for _, d in first]
-        svc.close()
-    svc = StorageService(data_root, key_root, container_size=8192)
-    StoreSession(LocalBackend(svc)).put_packages(first)
-    assert svc.stats().logical_bytes == before.logical_bytes + 9000
-    svc.close()
-
-
-def test_an_old_count_beyond_a_record_length_converts_whole(tmp_path):
-    data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
-    os.makedirs(data_root)
-    logical = 5 * 2**32 + 7
-    with open(os.path.join(data_root, "counters.json"), "w") as fh:
-        json.dump({"logical_bytes": logical}, fh)
-    for _ in range(2):
-        svc = StorageService(data_root, key_root)
-        assert svc.stats().logical_bytes == logical
-        svc.close()
-    assert sum(batch_records(data_root)) == logical
-
-
 def test_a_new_log_is_marked_so_a_cut_first_batch_is_dropped(tmp_path):
     data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
     index = os.path.join(data_root, "index.log")
@@ -873,31 +756,64 @@ def test_a_new_log_is_marked_so_a_cut_first_batch_is_dropped(tmp_path):
     svc.close()
 
 
-def test_an_old_log_without_its_counters_keeps_every_package(tmp_path, caplog):
+def make_old_objects(root: str, kind: str, obj_id: str) -> str:
+    """An object of the blob layout before one record per blob: a directory
+    holding a file per version and a CURRENT pointer."""
+    obj_dir = os.path.join(root, "blobs", kind, obj_id.encode("utf-8").hex())
+    os.makedirs(obj_dir)
+    for name, data in (("0000000000.bin", b"version zero"),
+                       ("0000000001.bin", b"version one!!"), ("CURRENT", b"1")):
+        with open(os.path.join(obj_dir, name), "wb") as fh:
+            fh.write(data)
+    return obj_dir
+
+
+@pytest.mark.parametrize("layout", ["index-log", "blob-objects", "key-root-objects"])
+def test_an_old_root_is_refused_and_left_as_it_was(tmp_path, layout):
     data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
-    svc = StorageService(data_root, key_root, container_size=8192)
-    session = StoreSession(LocalBackend(svc))
-    items = [item(os.urandom(3000)) for _ in range(4)]
-    session.put_packages(items)
-    session.put_packages(items)
-    before = session.stats()
-    svc.close()
-    make_old_root(data_root)
-    os.remove(os.path.join(data_root, "counters.json"))
-    for _ in range(2):
-        with caplog.at_level(logging.WARNING, logger="reed"):
-            svc = StorageService(data_root, key_root, container_size=8192)
+    if layout == "blob-objects":
+        old = [make_old_objects(data_root, "stub", "f"),
+               make_old_objects(key_root, "state", "f")]
+        refusal = f"{old[0]} is a directory"
+    else:
+        svc = StorageService(data_root, key_root, container_size=8192)
         session = StoreSession(LocalBackend(svc))
-        stats = session.stats()
-        assert (stats.physical_bytes, stats.index_entries, stats.container_count) == \
-            (before.physical_bytes, before.index_entries, before.container_count)
-        # the old count is gone; the records' own bytes stand in for it
-        assert stats.logical_bytes == before.physical_bytes
-        assert container_bytes(data_root) == before.physical_bytes
-        assert session.get_packages([fp for fp, _ in items]) == [d for _, d in items]
+        first = [item(os.urandom(3000)) for _ in range(3)]
+        session.put_packages(first)
+        session.put_packages(first + [item(os.urandom(2000))])
+        session.put_stub("f", 0, b"a" * 100)
+        session.put_state("f", 0, b"s" * 50)
         svc.close()
-    # converted on the first open, so warned once
-    assert len([r for r in caplog.records if "no batch record" in r.message]) == 1
+        # a put that was never acknowledged, which an open would remove
+        with open(os.path.join(stub_kind(tmp_path), b"g".hex() + ".tmp"), "wb") as fh:
+            fh.write(b"unacknowledged")
+        if layout == "index-log":
+            make_old_root(data_root)
+            refusal = "index.log holds package records and no batch record"
+        else:
+            old = make_old_objects(key_root, "userkey", "alice")
+            refusal = f"{old} is a directory"
+    before = tree_digest(str(tmp_path))
+    for _ in range(2):
+        with pytest.raises(StorageUnavailable, match=refusal):
+            StorageService(data_root, key_root, container_size=8192)
+        assert tree_digest(str(tmp_path)) == before
+
+
+def test_a_logical_count_beyond_a_record_length_survives_a_reopen(tmp_path):
+    path = str(tmp_path / "index.log")
+    index = FingerprintIndex(path)
+    logical = 5 * 2**32 + 7
+    fp = hashlib.sha256(b"package").digest()
+    index.append([(fp, 0, 0, 100)], logical)
+    index.close()
+    index = FingerprintIndex(path)
+    try:
+        assert (index.logical_bytes, index.physical_bytes, len(index)) == (logical, 100, 1)
+        assert index.get(fp) == (0, 0, 100)
+    finally:
+        index.close()
+    assert batch_records(str(tmp_path)) == [0] + [2**32 - 1] * 5 + [12]
 
 
 # -- TCP framing --------------------------------------------------------------------------

@@ -330,7 +330,3 @@ def test_replay_removes_only_the_directory_it_made(tmp_path, monkeypatch):
                            mutation_rate=0.5)
     replay(trace, MODE_SIMILARITY, **SMALL_SEG)
     assert os.listdir(tmp_path) == []
-    given = tmp_path / "given"
-    given.mkdir()
-    replay(trace, MODE_CHUNK, workdir=str(given), **SMALL_SEG)
-    assert sorted(os.listdir(given)) == ["data", "keys"]
