@@ -14,7 +14,7 @@ import sys
 import tempfile
 
 from . import caont, errors, traceharness
-from .client import (ClientIdentity, Connection, StoreSession, download_to,
+from .client import (KEYINGS, ClientIdentity, Connection, StoreSession, download_to,
                      register_identity, rekey_file, upload)
 from .config import Config, parse_address, parse_size
 from .keygen import KeyManagerService, KeySession, ManagerKeyPair
@@ -26,6 +26,9 @@ EXIT_ACCESS_DENIED = 2
 EXIT_INTEGRITY = 3
 EXIT_TRANSPORT = 4
 EXIT_RATE_LIMITED = 5
+
+# the names upload's scheme and keying take on the command line and in [client]
+_UPLOAD_NAMES = {"scheme": caont.SCHEME_IDS, "keying": dict(zip(KEYINGS, KEYINGS))}
 
 
 def _exit_code(exc: Exception) -> int:
@@ -39,6 +42,27 @@ def _exit_code(exc: Exception) -> int:
     if isinstance(exc, errors.RateLimited):
         return EXIT_RATE_LIMITED
     return EXIT_ERROR
+
+
+def _reported(run, *args) -> int:
+    """run(*args), with a failure a user can act on as one error line."""
+    try:
+        return run(*args)
+    except (errors.ReedError, OSError, ValueError) as exc:  # also a bad config or address
+        print(f"error: {exc}", file=sys.stderr)
+        return _exit_code(exc)
+
+
+def _upload_options(args, cfg: Config) -> dict:
+    """upload's scheme and keying, each from its flag or else from [client];
+    one that neither sets is left to upload's default."""
+    named = {**cfg.options("client", scheme=str, keying=str),
+             **{key: getattr(args, key) for key in _UPLOAD_NAMES if getattr(args, key)}}
+    for key, name in named.items():
+        if name not in _UPLOAD_NAMES[key]:
+            raise ValueError(f"{key} must be one of {', '.join(_UPLOAD_NAMES[key])}, "
+                             f"not {name!r}")
+    return {key: _UPLOAD_NAMES[key][name] for key, name in named.items()}
 
 
 @contextlib.contextmanager
@@ -87,11 +111,11 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("upload", help="upload a file")
     p.add_argument("path")
     p.add_argument("--policy", required=True, help="comma-separated user ids")
-    p.add_argument("--scheme", choices=["basic", "enhanced"])
+    p.add_argument("--scheme", choices=caont.SCHEME_IDS)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--fixed", action="store_true", help="fixed-size chunking")
     mode.add_argument("--rabin", action="store_true", help="content-defined chunking")
-    p.add_argument("--keying", choices=["chunk", "similarity"])
+    p.add_argument("--keying", choices=KEYINGS)
 
     p = sub.add_parser("download", help="download a file by id")
     p.add_argument("file_id")
@@ -108,12 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("serve-manager", help="run the key manager")
 
     args = parser.parse_args(argv)
-    try:
-        cfg = Config.load(args.config)
-        return _run(args, cfg)
-    except (errors.ReedError, OSError, ValueError) as exc:  # also a bad config or address
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+    return _reported(lambda: _run(args, Config.load(args.config)))
 
 
 def _run(args, cfg: Config) -> int:
@@ -125,9 +144,8 @@ def _run(args, cfg: Config) -> int:
         return EXIT_OK
 
     if args.command == "upload":
+        options = _upload_options(args, cfg)  # refused here, before connecting
         identity = _identity(cfg)
-        scheme_name = args.scheme or cfg.get("client", "scheme")
-        keying = args.keying or cfg.get("client", "keying")
         chunk_params = cfg.chunk_params
         if args.fixed:
             chunk_params = dataclasses.replace(chunk_params, mode="fixed")
@@ -140,10 +158,9 @@ def _run(args, cfg: Config) -> int:
                 identity=identity,
                 store=store,
                 keys=keys,
-                scheme=caont.SCHEME_IDS[scheme_name],
-                keying=keying,
                 chunk_params=chunk_params,
                 seg_params=cfg.segment_params(chunk_params),
+                **options,
             )
         print(file_id)
         return EXIT_OK
@@ -191,7 +208,7 @@ def _run(args, cfg: Config) -> int:
         host, port = parse_address(cfg.get("server", "listen"))
         service = StorageService(cfg.get("server", "data_root"),
                                  cfg.get("server", "key_root"),
-                                 cfg.getint("server", "container_size"))
+                                 **cfg.options("server", container_size=parse_size))
         server = FrameServer(service, host, port).start()
         print(f"storage server on {server.address[0]}:{server.address[1]}")
         _serve_until_interrupt(server, service)
@@ -201,10 +218,8 @@ def _run(args, cfg: Config) -> int:
         host, port = parse_address(cfg.get("manager", "listen"))
         keypair = ManagerKeyPair.load_or_create(cfg.get("manager", "key_file"))
         service = KeyManagerService(
-            keypair,
-            rate_capacity=cfg.getint("manager", "rate_capacity"),
-            rate_refill=float(cfg.get("manager", "rate_refill")),
-            batch_cap=cfg.getint("manager", "batch_cap"))
+            keypair, **cfg.options("manager", rate_capacity=parse_size,
+                                   rate_refill=float, batch_cap=parse_size))
         server = FrameServer(service, host, port).start()
         print(f"key manager on {server.address[0]}:{server.address[1]}")
         _serve_until_interrupt(server)
@@ -232,7 +247,7 @@ def trace_main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("replay", help="replay a trace and report savings")
     p.add_argument("trace")
-    p.add_argument("--mode", choices=["chunk", "similarity"], required=True)
+    p.add_argument("--mode", choices=KEYINGS, required=True)
     p.add_argument("--avg-segment", default="1M")
     p.add_argument("--avg-chunk", default="8192")
     p.add_argument("--report", help="write the TSV report here (default stdout)")
@@ -246,38 +261,34 @@ def trace_main(argv: list[str] | None = None) -> int:
     p.add_argument("--mutate", type=float, required=True)
     p.add_argument("-o", "--output", help="output path (default stdout)")
 
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "replay":
-            snapshots = traceharness.load_trace(args.trace, args.drop_zero)
-            report = traceharness.replay(
-                snapshots, args.mode,
-                avg_segment_size=parse_size(args.avg_segment),
-                avg_chunk_size=parse_size(args.avg_chunk))
-            text = report.to_tsv()
-            if args.report:
-                with open(args.report, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            # on stderr, so that standard output stays one TSV table
-            print(f"key_requests\t{report.key_requests}\nkeys_sent\t{report.keys_sent}",
-                  file=sys.stderr)
-            return EXIT_OK
-        if args.command == "gen":
-            trace = traceharness.generate_trace(args.seed, args.snapshots,
-                                                args.chunks, args.mutate)
-            text = traceharness.format_trace(trace)
-            if args.output:
-                with open(args.output, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return EXIT_OK
-    except errors.ReedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+    return _reported(_run_trace, parser.parse_args(argv))
+
+
+def _run_trace(args) -> int:
+    if args.command == "replay":
+        snapshots = traceharness.load_trace(args.trace, args.drop_zero)
+        report = traceharness.replay(
+            snapshots, args.mode,
+            avg_segment_size=parse_size(args.avg_segment),
+            avg_chunk_size=parse_size(args.avg_chunk))
+        with _output(args.report) as fh:
+            fh.write(report.to_tsv())
+        # on stderr, so that standard output stays one TSV table
+        print(f"key_requests\t{report.key_requests}\nkeys_sent\t{report.keys_sent}",
+              file=sys.stderr)
+        return EXIT_OK
+    if args.command == "gen":
+        trace = traceharness.generate_trace(args.seed, args.snapshots,
+                                            args.chunks, args.mutate)
+        with _output(args.output) as fh:
+            fh.write(traceharness.format_trace(trace))
+        return EXIT_OK
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def _output(path: str | None):
+    """The file at path opened for writing, or standard output without one."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 if __name__ == "__main__":

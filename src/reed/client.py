@@ -35,6 +35,7 @@ from .server import ServerStats
 
 KEYING_CHUNK = "chunk"
 KEYING_SIMILARITY = "similarity"
+KEYINGS = (KEYING_CHUNK, KEYING_SIMILARITY)
 TRANSFER_BATCH = 4 * 1024 * 1024
 RECIPE_FORMAT = 1
 _RECIPE_ENTRY = struct.Struct(">32sII")  # fingerprint, chunk length, segment index
@@ -332,11 +333,25 @@ def _keyed_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], keying: str,
         del segments, seg
 
 
-def store_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], *,
-                 keying: str, keys: KeySession, seg_params: SegmentationParams,
-                 scheme: int, store: StoreSession) -> tuple[list, list[bytes]]:
-    """Key, transform and ship chunks given per block, each block flagged
-    whether it is the last; returns (recipe entries, stubs) in chunk order."""
+def store_file(chunk_blocks: Iterable[tuple[list[Chunk], bool]], path: str, *,
+               policy: list[str], identity: ClientIdentity, store: StoreSession,
+               keys: KeySession, scheme: int, keying: str,
+               seg_params: SegmentationParams) -> str:
+    """Store a file given as chunk blocks, each flagged whether it is the last,
+    and commit it at version 0; returns its file id. Every file is stored
+    through here, and nothing is sent before the arguments and policy pass."""
+    if scheme not in caont.SCHEME_NAMES:
+        raise ValueError(f"unknown scheme id {scheme}")
+    if keying not in KEYINGS:
+        raise ValueError(f"keying must be one of {', '.join(KEYINGS)}, not {keying!r}")
+    if scheme == caont.SCHEME_BASIC and keying == KEYING_SIMILARITY:
+        raise SchemeNotAllowed(
+            "the basic scheme is refused under segment keying: one shared mask "
+            "key leaks chunk XORs; use the enhanced scheme or per-chunk keying")
+    # refused here, before any package is sent
+    directory = rekeying.resolve_policy(store, policy)
+
+    file_id = file_id_for(identity.user_id, path)
     entries: list = []
     stubs: list[bytes] = []
 
@@ -351,31 +366,6 @@ def store_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], *,
 
     for batch in _batches(packages(), lambda item: len(item[1])):
         store.put_packages(batch)
-    return entries, stubs
-
-
-def upload(path: str, *, policy: list[str], identity: ClientIdentity,
-           store: StoreSession, keys: KeySession,
-           scheme: int = caont.SCHEME_ENHANCED,
-           keying: str = KEYING_SIMILARITY,
-           chunk_params: ChunkingParams | None = None,
-           seg_params: SegmentationParams | None = None) -> str:
-    """Run the full upload pipeline; returns the file id."""
-    if scheme == caont.SCHEME_BASIC and keying == KEYING_SIMILARITY:
-        raise SchemeNotAllowed(
-            "the basic scheme is refused under segment keying: one shared mask "
-            "key leaks chunk XORs; use the enhanced scheme or per-chunk keying")
-    chunk_params = chunk_params or ChunkingParams()
-    seg_params = seg_params or SegmentationParams(
-        avg_chunk_size=chunk_params.expected_size)
-    # refused here, before any package is sent
-    directory = rekeying.resolve_policy(store, policy)
-
-    file_id = file_id_for(identity.user_id, path)
-    with open(path, "rb") as fh:
-        entries, stubs = store_chunks(
-            _chunk_blocks(_read_blocks(fh), chunk_params), keying=keying,
-            keys=keys, seg_params=seg_params, scheme=scheme, store=store)
 
     state = new_state(identity.user_id, identity.derivation)
     stub_blob = caont.encrypt_stub_file(stubs, derive_file_key(state))
@@ -387,6 +377,22 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
     store.put_stub(file_id, state.version, stub_blob)
     store.put_state(file_id, state.version, wrapped)
     return file_id
+
+
+def upload(path: str, *, policy: list[str], identity: ClientIdentity,
+           store: StoreSession, keys: KeySession,
+           scheme: int = caont.SCHEME_ENHANCED,
+           keying: str = KEYING_SIMILARITY,
+           chunk_params: ChunkingParams | None = None,
+           seg_params: SegmentationParams | None = None) -> str:
+    """Store the file at path, read one block at a time; returns the file id."""
+    chunk_params = chunk_params or ChunkingParams()
+    seg_params = seg_params or SegmentationParams(
+        avg_chunk_size=chunk_params.expected_size)
+    with open(path, "rb") as fh:
+        return store_file(_chunk_blocks(_read_blocks(fh), chunk_params), path,
+                          policy=policy, identity=identity, store=store, keys=keys,
+                          scheme=scheme, keying=keying, seg_params=seg_params)
 
 
 def download_to(file_id: str, sink: BinaryIO, *, identity: ClientIdentity,

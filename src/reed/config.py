@@ -1,12 +1,15 @@
 """INI configuration shared by the CLI tools.
 
-Documented keys (all optional; defaults shown in DEFAULTS below):
+Documented keys (all optional):
 
     [client]  server, manager, identity_dir, scheme, keying
     [chunk]   mode, fixed_size, min_size, avg_size, max_size
     [segment] avg_size
     [server]  listen, data_root, key_root, container_size
     [manager] listen, key_file, rate_capacity, rate_refill, batch_cap
+
+Addresses and paths default to DEFAULTS below. Any other key a file leaves
+unset is not passed on, so the default of the code it configures holds.
 
 Only ``serve-manager`` reads [manager]; a client learns the batch cap from
 the manager's public-key reply.
@@ -25,31 +28,15 @@ DEFAULTS = {
         "server": "127.0.0.1:9601",
         "manager": "127.0.0.1:9602",
         "identity_dir": "./reed-identity",
-        "scheme": "enhanced",
-        "keying": "similarity",
-    },
-    "chunk": {
-        "mode": "rabin",
-        "fixed_size": "8192",
-        "min_size": "2048",
-        "avg_size": "8192",
-        "max_size": "16384",
-    },
-    "segment": {
-        "avg_size": "1048576",
     },
     "server": {
         "listen": "127.0.0.1:9601",
         "data_root": "./reed-data",
         "key_root": "./reed-keys",
-        "container_size": "4194304",
     },
     "manager": {
         "listen": "127.0.0.1:9602",
         "key_file": "./reed-manager.pem",
-        "rate_capacity": "10000",
-        "rate_refill": "10000",
-        "batch_cap": "256",
     },
 }
 
@@ -88,20 +75,19 @@ class Config:
     def get(self, section: str, key: str) -> str:
         return self.parser.get(section, key)
 
-    def getint(self, section: str, key: str) -> int:
-        return parse_size(self.parser.get(section, key))
+    def options(self, section: str, **parsers) -> dict:
+        """The keys of section that the file sets, each parsed by its parser;
+        a key it leaves unset is left out, so the callee's default holds."""
+        return {key: parse(self.parser.get(section, key))
+                for key, parse in parsers.items() if self.parser.has_option(section, key)}
 
     @property
     def chunk_params(self) -> ChunkingParams:
-        return ChunkingParams(
-            mode=self.get("chunk", "mode"),
-            fixed_size=self.getint("chunk", "fixed_size"),
-            min_size=self.getint("chunk", "min_size"),
-            avg_size=self.getint("chunk", "avg_size"),
-            max_size=self.getint("chunk", "max_size"),
-        )
+        return ChunkingParams(**self.options(
+            "chunk", mode=str, fixed_size=parse_size, min_size=parse_size,
+            avg_size=parse_size, max_size=parse_size))
 
     def segment_params(self, chunk: ChunkingParams) -> SegmentationParams:
         """Segmentation planned for the chunking actually used."""
-        return SegmentationParams(avg_size=self.getint("segment", "avg_size"),
-                                  avg_chunk_size=chunk.expected_size)
+        return SegmentationParams(avg_chunk_size=chunk.expected_size,
+                                  **self.options("segment", avg_size=parse_size))

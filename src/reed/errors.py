@@ -11,7 +11,7 @@ class IntegrityViolation(ReedError):
     """A reconstructed chunk failed its integrity check (tampered data)."""
 
 
-class PackageTooSmall(ReedError):
+class PackageTooSmall(IntegrityViolation):
     """A package is too small to contain a stub (or a plausible payload)."""
 
 

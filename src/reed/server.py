@@ -483,8 +483,9 @@ class StorageService:
         r = wire.Reader(payload)
         op = r.u8()
         obj_id = r.text()
-        if len(obj_id.encode("utf-8")) > MAX_BLOB_ID:
-            raise InvalidOperand(f"blob id longer than {MAX_BLOB_ID} UTF-8 bytes")
+        if not 0 < len(obj_id.encode("utf-8")) <= MAX_BLOB_ID:
+            # an empty id would name the kind directory itself
+            raise InvalidOperand(f"blob id must be 1 to {MAX_BLOB_ID} UTF-8 bytes")
         store = self.key_blobs if kind in _KEY_KINDS else self.data_blobs
         if op == wire.BLOB_PUT:
             version = r.u32()

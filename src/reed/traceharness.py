@@ -3,7 +3,7 @@
 A trace is a sequence of snapshots, each a list of (fingerprint hex, chunk
 size) records. Chunks are synthesized by repeating the fingerprint bytes to
 the recorded size, so equal records give equal content. Each snapshot is
-uploaded as one file to an in-process server and the cumulative logical,
+stored as one file on an in-process server and the cumulative logical,
 physical, and stub byte counts are reported after every snapshot, for both
 per-chunk and similarity (per-segment) key generation.
 
@@ -22,10 +22,10 @@ from typing import Iterable
 
 from . import caont
 from .chunking import Chunk, SegmentationParams
-from .client import KEYING_CHUNK, KEYING_SIMILARITY, StoreSession, store_chunks
+from .client import (KEYING_CHUNK, KEYING_SIMILARITY, ClientIdentity, StoreSession,
+                     register_identity, store_file)
 from .errors import TraceParseError
 from .keygen import KeyManagerService, KeySession, ManagerKeyPair
-from .rekeying import DerivationKeyPair, derive_file_key, new_state
 from .server import ServerStats, StorageService
 from .wire import LocalBackend
 
@@ -152,20 +152,19 @@ def generate_trace(seed: int, snapshots: int, chunks_per_snapshot: int,
 
 def replay(snapshots: list[list[TraceRecord]], mode: str,
            avg_segment_size: int = 1_048_576, avg_chunk_size: int = 8192) -> SavingsReport:
-    """Feed every snapshot through the upload pipeline's key, transform and
-    ship stage (``client.store_chunks``), entering with synthesized chunks.
+    """Store every snapshot as one file through the upload pipeline
+    (``client.store_file``), entering with its synthesized chunks as one
+    block; each snapshot is then a file its owner can download.
 
     Runs single-threaded against an in-process server so the report is a
     pure function of the trace and the parameters. Rows carry cumulative
     counters, mirroring how the server accumulates state over backups.
     """
-    if mode not in (MODE_CHUNK, MODE_SIMILARITY):
-        raise ValueError(f"unknown keying mode {mode!r}")
-    manager = KeyManagerService(ManagerKeyPair.generate())
-    keys = KeySession(LocalBackend(manager))
-    owner_keys = DerivationKeyPair.generate()
     seg_params = SegmentationParams(avg_size=avg_segment_size,
                                     avg_chunk_size=avg_chunk_size)
+    manager = KeyManagerService(ManagerKeyPair.generate())
+    keys = KeySession(LocalBackend(manager))
+    owner = ClientIdentity.create("trace")
 
     report = SavingsReport(mode=mode)
     with contextlib.ExitStack() as cleanup:
@@ -174,15 +173,12 @@ def replay(snapshots: list[list[TraceRecord]], mode: str,
                                  os.path.join(workdir, "keys"))
         cleanup.callback(service.close)
         store = StoreSession(LocalBackend(service))
+        register_identity(store, owner)
         for snap_idx, records in enumerate(snapshots):
             chunks = [Chunk(synthesize_chunk(r.fp_hex, r.size)) for r in records]
-            _, stubs = store_chunks([(chunks, True)], keying=mode, keys=keys,
-                                    seg_params=seg_params,
-                                    scheme=caont.SCHEME_ENHANCED, store=store)
-
-            state = new_state("trace", owner_keys)
-            stub_blob = caont.encrypt_stub_file(stubs, derive_file_key(state))
-            store.put_stub(f"trace-{snap_idx:06d}", 0, stub_blob)
+            store_file([(chunks, True)], f"trace-{snap_idx:06d}", policy=[owner.user_id],
+                       identity=owner, store=store, keys=keys,
+                       scheme=caont.SCHEME_ENHANCED, keying=mode, seg_params=seg_params)
             report.rows.append(store.stats())
     report.key_requests = keys.request_count
     report.keys_sent = keys.sent_count

@@ -1,5 +1,7 @@
 import contextlib
 import gc
+import hashlib
+import inspect
 import json
 import os
 import random
@@ -11,13 +13,14 @@ from cryptography.hazmat.primitives.ciphers import Cipher
 
 from conftest import assert_one_stub_record, tree_digest
 from reed import caont, cli
-from reed.chunking import ChunkingParams
-from reed.client import (ClientIdentity, Connection, StoreSession, download,
+from reed.chunking import ChunkingParams, SegmentationParams
+from reed.client import (ClientIdentity, Connection, Recipe, StoreSession, download,
                          file_id_for, rekey_file, upload)
 from reed.errors import (AccessDenied, AuthenticationFailure, IntegrityViolation,
-                         NotOwner, PolicyEmpty, SchemeNotAllowed, UnknownUser)
-from reed.keygen import KeySession
+                         NotFound, NotOwner, PolicyEmpty, SchemeNotAllowed, UnknownUser)
+from reed.keygen import KeyManagerService, KeySession, ManagerKeyPair
 from reed.rekeying import derive_file_key, unwrap_state
+from reed.server import StorageService
 
 FIXED_8K = ChunkingParams(mode="fixed", fixed_size=8192)
 
@@ -91,6 +94,30 @@ def test_basic_scheme_refused_under_segment_keying(ready, identities, tmp_path):
         upload(path, policy=["alice"], identity=identities["alice"],
                store=ready.store_session(), keys=ready.key_session(),
                scheme=caont.SCHEME_BASIC)
+
+
+@pytest.mark.parametrize("scheme, keying", [(caont.SCHEME_BASIC, "Similarity"),
+                                             (caont.SCHEME_ENHANCED, "foo"),
+                                             (caont.SCHEME_BASIC, "foo")])
+def test_unknown_keying_refused_before_any_package(ready, identities, tmp_path,
+                                                   scheme, keying):
+    path = write_file(tmp_path, "f.bin", random.Random(14).randbytes(100_000))
+    with pytest.raises(ValueError, match="^keying must be one of chunk, similarity"):
+        upload(path, policy=["alice"], identity=identities["alice"],
+               store=ready.store_session(), keys=ready.key_session(),
+               scheme=scheme, keying=keying)
+    assert ready.service.stats().logical_bytes == 0  # refused before any package
+
+
+def test_unknown_scheme_refused_even_for_an_empty_file(ready, identities, tmp_path):
+    # an empty file transforms no chunk, so only the up-front check refuses it
+    path = write_file(tmp_path, "f.bin", b"")
+    store = ready.store_session()
+    with pytest.raises(ValueError, match="^unknown scheme id 7$"):
+        upload(path, policy=["alice"], identity=identities["alice"], store=store,
+               keys=ready.key_session(), scheme=7)
+    with pytest.raises(NotFound):
+        store.get_recipe(file_id_for("alice", path))
 
 
 def test_empty_policy_rejected(ready, identities, tmp_path):
@@ -504,6 +531,27 @@ def test_cli_bad_recipe_exits_with_an_error(ready, tmp_path, capsys):
     assert not os.path.exists(out_path)
 
 
+def test_cli_emptied_package_exits_with_the_integrity_code(ready, tmp_path, capsys):
+    cfg = make_config(tmp_path, ready, "emptied")
+    assert cli.main(["--config", cfg, "keygen-register", "--user", "emptied"]) == 0
+    path = write_file(tmp_path, "e.bin", random.Random(16).randbytes(50_000))
+    assert cli.main(["--config", cfg, "upload", path, "--policy", "emptied"]) == 0
+    fid = capsys.readouterr().out.strip().splitlines()[-1]
+    # The first entry now names an empty package, which the server takes,
+    # since it hashes to its fingerprint.
+    store = ready.store_session()
+    empty = hashlib.sha256(b"").digest()
+    store.put_packages([(empty, b"")])
+    recipe = Recipe.decode(store.get_recipe(fid))
+    _, length, index = recipe.entries[0]
+    recipe.entries[0] = (empty, length, index)
+    store.put_recipe(fid, recipe.encode())
+    out_path = os.path.join(str(tmp_path), "e.out")
+    assert cli.main(["--config", cfg, "download", fid, "-o", out_path]) == 3
+    assert capsys.readouterr().err == "error: a package must be at least 65 bytes\n"
+    assert not os.path.exists(out_path)
+
+
 def test_cli_failed_download_leaves_no_partial_file(ready, tmp_path, capsys):
     cfg = make_config(tmp_path, ready, "tmpuser")
     assert cli.main(["--config", cfg, "keygen-register", "--user", "tmpuser"]) == 0
@@ -545,3 +593,69 @@ def test_cli_upload_segments_for_the_chunking_it_uses(tmp_path, monkeypatch):
     assert cli.main(["--config", str(config), "upload", "f", "--policy", "a", "--fixed"]) == 0
     assert (seen["chunk_params"].mode, seen["chunk_params"].fixed_size) == ("fixed", 4096)
     assert seen["seg_params"].avg_chunk_size == 4096
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("scheme = aes", "scheme must be one of basic, enhanced, not 'aes'"),
+    ("keying = Similarity", "keying must be one of chunk, similarity, not 'Similarity'"),
+])
+def test_cli_refuses_an_unknown_name_before_connecting(tmp_path, capsys, monkeypatch,
+                                                       setting, message):
+    config = tmp_path / "reed.ini"
+    config.write_text(f"[client]\n{setting}\n")
+
+    def refuse(cfg):
+        raise AssertionError("the upload went on past an unknown name")
+
+    for name in ("_identity", "_store_session", "_key_session"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert cli.main(["--config", str(config), "upload", "f", "--policy", "a"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_config_setting_nothing_builds_the_library_defaults(tmp_path, monkeypatch,
+                                                              manager_keypair):
+    config = tmp_path / "empty.ini"
+    config.write_text("")
+    monkeypatch.chdir(tmp_path)  # the default data and key roots are relative
+    seen = {}
+    monkeypatch.setattr(cli, "_identity", lambda cfg: None)
+    monkeypatch.setattr(cli, "_store_session", lambda cfg: contextlib.nullcontext())
+    monkeypatch.setattr(cli, "_key_session", lambda cfg: contextlib.nullcontext())
+    monkeypatch.setattr(cli, "upload", lambda path, **kw: seen.update(kw) or "fid")
+    assert cli.main(["--config", str(config), "upload", "f", "--policy", "a"]) == 0
+    defaults = inspect.signature(upload).parameters
+    for key in ("scheme", "keying"):
+        assert seen.get(key, defaults[key].default) == defaults[key].default
+    assert seen["chunk_params"] == ChunkingParams()
+    assert seen["seg_params"] == SegmentationParams(
+        avg_chunk_size=ChunkingParams().expected_size)
+
+    services = []
+
+    class Unstarted:  # a FrameServer that listens on nothing
+        address = ("127.0.0.1", 0)
+
+        def __init__(self, service, host, port):
+            services.append(service)
+
+        def start(self):
+            return self
+
+    monkeypatch.setattr(cli, "FrameServer", Unstarted)
+    monkeypatch.setattr(cli, "_serve_until_interrupt", lambda server, service=None: None)
+    monkeypatch.setattr(ManagerKeyPair, "load_or_create",
+                        staticmethod(lambda path: manager_keypair))
+    assert cli.main(["--config", str(config), "serve-store"]) == 0
+    assert cli.main(["--config", str(config), "serve-manager"]) == 0
+    store, manager = services
+    default_store = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
+    try:
+        assert store.containers.capacity == default_store.containers.capacity
+    finally:
+        store.close()
+        default_store.close()
+    default_manager = KeyManagerService(manager_keypair)
+    assert ((manager.limiter.capacity, manager.limiter.refill_rate, manager.batch_cap)
+            == (default_manager.limiter.capacity, default_manager.limiter.refill_rate,
+                default_manager.batch_cap))

@@ -243,6 +243,21 @@ def test_blob_missing_not_found(session):
         session.get_stub("nope")
 
 
+def test_an_empty_blob_id_is_an_invalid_operand(session, tmp_path):
+    # an empty id would name the kind's directory itself
+    ops = [(session.put_recipe, session.get_recipe),
+           (lambda obj_id, blob: session.put_stub(obj_id, 0, blob), session.get_stub),
+           (lambda obj_id, blob: session.put_state(obj_id, 0, blob), session.get_state),
+           (session.put_user_key, session.get_user_key)]
+    for put, get in ops:
+        with pytest.raises(InvalidOperand):
+            put("", b"blob")
+        with pytest.raises(InvalidOperand):
+            get("")
+    assert [name for _, _, names in os.walk(tmp_path) for name in names
+            if name.endswith(".tmp")] == []
+
+
 def test_versioned_blob_current_pointer(session, tmp_path):
     session.put_stub("f", 0, b"v0")
     session.put_stub("f", 1, b"v1")

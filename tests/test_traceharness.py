@@ -4,8 +4,9 @@ import tempfile
 
 import pytest
 
-from reed import cli
+from reed import cli, traceharness
 from reed.chunking import SegmentationParams
+from reed.client import download, store_file
 from reed.errors import TraceParseError
 from reed.traceharness import (MODE_CHUNK, MODE_SIMILARITY, TraceRecord,
                                format_trace, generate_trace, parse_trace,
@@ -265,6 +266,24 @@ def test_ten_snapshot_overlap_ordering():
     assert chunk.totals.physical_bytes < chunk.totals.logical_bytes / 2
 
 
+@pytest.mark.parametrize("mode", [MODE_CHUNK, MODE_SIMILARITY])
+def test_every_replayed_snapshot_downloads_to_its_synthesized_chunks(monkeypatch, mode):
+    trace = generate_trace(seed=15, snapshots=3, chunks_per_snapshot=50,
+                           mutation_rate=0.2)
+    restored = []
+
+    def store_and_read(chunk_blocks, path, **kwargs):
+        file_id = store_file(chunk_blocks, path, **kwargs)
+        restored.append(download(file_id, identity=kwargs["identity"],
+                                 store=kwargs["store"]))
+        return file_id
+
+    monkeypatch.setattr(traceharness, "store_file", store_and_read)
+    replay(trace, mode, **SMALL_SEG)
+    assert restored == [b"".join(synthesize_chunk(r.fp_hex, r.size) for r in snap)
+                        for snap in trace]
+
+
 def test_tsv_shape():
     trace = generate_trace(seed=13, snapshots=2, chunks_per_snapshot=30,
                            mutation_rate=0.0)
@@ -322,6 +341,24 @@ def test_trace_cli_replay_output_is_pinned(tmp_path, capsys, mode):
                            "--avg-chunk", "8192"]) == 0
     out, err = capsys.readouterr()
     assert (out, err) == REPLAY_TSV[mode]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["replay", "{missing}", "--mode", "chunk"], "No such file or directory"),
+    (["gen", "--seed", "1", "--snapshots", "2", "--chunks", "3", "--mutate", "2"],
+     "mutation rate must be within [0, 1]"),
+    (["replay", "{trace}", "--mode", "chunk", "--avg-segment", "0"],
+     "sizes must be positive"),
+], ids=["missing-trace", "mutate-2", "avg-segment-0"])
+def test_trace_cli_reports_a_bad_input_as_one_error_line(tmp_path, capsys, argv, message):
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text(format_trace(generate_trace(1, 1, 3, 0.0)))
+    paths = dict(missing=str(tmp_path / "missing.trace"), trace=str(trace_path))
+    assert cli.trace_main([arg.format(**paths) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_replay_removes_only_the_directory_it_made(tmp_path, monkeypatch):
