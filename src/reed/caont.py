@@ -28,7 +28,6 @@ import hashlib
 import hmac
 import os
 import threading
-from typing import Sequence
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -251,30 +250,36 @@ def decrypt_chunk(scheme: int, trimmed, stub) -> bytes:
     raise ValueError(f"unknown scheme id {scheme}")
 
 
-def encrypt_stub_file(stubs: Sequence[bytes], file_key: bytes) -> bytes:
-    """Authenticated encryption of the concatenated stubs of one file.
+def encrypt_stub_file(plain, file_key: bytes) -> bytes:
+    """Authenticated encryption of one file's stubs, concatenated in recipe
+    order, so stub i is plain[64*i:64*(i+1)] and belongs to chunk i.
 
-    Layout: 12-byte random nonce || ciphertext || 16-byte tag. Stub order is
-    preserved, so stub i always belongs to chunk i of the file recipe.
+    plain may be any byte buffer; one that is not a whole number of stubs
+    raises ValueError. Layout: 12-byte random nonce || ciphertext || 16-byte
+    tag.
     """
     if len(file_key) != KEY_SIZE:
         raise ValueError("file key must be 32 bytes")
-    plain = b"".join(stubs)
+    if len(plain) % STUB_SIZE:
+        raise ValueError(f"stub file plaintext of {len(plain)} bytes is not "
+                         f"a whole number of {STUB_SIZE}-byte stubs")
     nonce = os.urandom(GCM_NONCE_SIZE)
     return nonce + AESGCM(file_key).encrypt(nonce, plain, None)
 
 
-def decrypt_stub_file(blob: bytes, file_key: bytes) -> list[bytes]:
-    """Invert encrypt_stub_file; raises AuthenticationFailure on wrong key."""
+def decrypt_stub_file(blob, file_key: bytes) -> bytes:
+    """Invert encrypt_stub_file: the concatenated stubs as one bytes object.
+    Raises AuthenticationFailure on a wrong key, a tampered or truncated
+    blob, or a plaintext that is not stub-aligned."""
     if len(file_key) != KEY_SIZE:
         raise ValueError("file key must be 32 bytes")
     if len(blob) < STUB_FILE_OVERHEAD:
         raise AuthenticationFailure("stub file blob is truncated")
-    nonce, rest = blob[:GCM_NONCE_SIZE], blob[GCM_NONCE_SIZE:]
+    view = memoryview(blob)
     try:
-        plain = AESGCM(file_key).decrypt(nonce, rest, None)
+        plain = AESGCM(file_key).decrypt(view[:GCM_NONCE_SIZE], view[GCM_NONCE_SIZE:], None)
     except InvalidTag as exc:
         raise AuthenticationFailure("stub file failed authentication") from exc
     if len(plain) % STUB_SIZE:
         raise AuthenticationFailure("stub file plaintext is not stub-aligned")
-    return [plain[i:i + STUB_SIZE] for i in range(0, len(plain), STUB_SIZE)]
+    return plain

@@ -16,7 +16,7 @@ import tempfile
 from . import caont, errors, traceharness
 from .client import (KEYINGS, ClientIdentity, Connection, StoreSession, download_to,
                      register_identity, rekey_file, upload)
-from .config import Config, parse_address, parse_size
+from .config import Config, parse_address, parse_named, parse_size
 from .keygen import KeyManagerService, KeySession, ManagerKeyPair
 from .server import FrameServer, StorageService
 
@@ -269,8 +269,8 @@ def _run_trace(args) -> int:
         snapshots = traceharness.load_trace(args.trace, args.drop_zero)
         report = traceharness.replay(
             snapshots, args.mode,
-            avg_segment_size=parse_size(args.avg_segment),
-            avg_chunk_size=parse_size(args.avg_chunk))
+            avg_segment_size=parse_named("--avg-segment", parse_size, args.avg_segment),
+            avg_chunk_size=parse_named("--avg-chunk", parse_size, args.avg_chunk))
         with _output(args.report) as fh:
             fh.write(report.to_tsv())
         # on stderr, so that standard output stays one TSV table

@@ -353,7 +353,7 @@ def store_file(chunk_blocks: Iterable[tuple[list[Chunk], bool]], path: str, *,
 
     file_id = file_id_for(identity.user_id, path)
     entries: list = []
-    stubs: list[bytes] = []
+    stubs = bytearray()  # the stub file's plaintext, stub i for chunk i
 
     def packages():
         for chunk, key, index in _keyed_chunks(chunk_blocks, keying, keys, seg_params):
@@ -361,7 +361,7 @@ def store_file(chunk_blocks: Iterable[tuple[list[Chunk], bool]], path: str, *,
             trimmed, stub = caont.encrypt_chunk(scheme, chunk.data, key)
             fp = hashlib.sha256(trimmed).digest()
             entries.append((fp, chunk.length, index))
-            stubs.append(stub)
+            stubs.extend(stub)
             yield fp, trimmed
 
     for batch in _batches(packages(), lambda item: len(item[1])):
@@ -408,16 +408,17 @@ def download_to(file_id: str, sink: BinaryIO, *, identity: ClientIdentity,
     state = unwrap_state(store.get_state(file_id)[1], identity.access_key,
                          identity.user_id)
     file_key = derive_file_key(unwind_to(state, stub_version))
-    stubs = caont.decrypt_stub_file(stub_blob, file_key)
-    if len(stubs) != recipe.chunk_count:
+    stubs = memoryview(caont.decrypt_stub_file(stub_blob, file_key))
+    if len(stubs) != caont.STUB_SIZE * recipe.chunk_count:
         raise IntegrityViolation("stub count does not match the recipe")
 
     written = 0
-    done = 0
+    at = 0  # offset of the next chunk's stub
     for batch in _batches(recipe.entries, lambda entry: entry[1]):
         packages = store.get_packages([fp for fp, _, _ in batch])
-        plains = [caont.decrypt_chunk(recipe.scheme, package, stub)
-                  for package, stub in zip(packages, stubs[done:done + len(batch)])]
+        end = at + caont.STUB_SIZE * len(batch)
+        plains = [caont.decrypt_chunk(recipe.scheme, package, stubs[i:i + caont.STUB_SIZE])
+                  for package, i in zip(packages, range(at, end, caont.STUB_SIZE))]
         # The packages are views of one reply frame. Dropping them before
         # the sink grows lets an in-memory sink reuse the frame's memory,
         # instead of mapping fresh pages for every batch.
@@ -425,7 +426,7 @@ def download_to(file_id: str, sink: BinaryIO, *, identity: ClientIdentity,
         for plain in plains:
             sink.write(plain)
             written += len(plain)
-        done += len(batch)
+        at = end
         del plains  # before the next batch is fetched
     if written != recipe.size:
         raise IntegrityViolation("reassembled size does not match the recipe")

@@ -10,6 +10,8 @@ Documented keys (all optional):
 
 Addresses and paths default to DEFAULTS below. Any other key a file leaves
 unset is not passed on, so the default of the code it configures holds.
+Sizes take the form <bytes>[K|M|G] (see parse_size), and a value its key
+cannot take raises ValueError naming the ``[section] key``.
 
 Only ``serve-manager`` reads [manager]; a client learns the batch cap from
 the manager's public-key reply.
@@ -49,12 +51,29 @@ def parse_address(text: str) -> tuple[str, int]:
 
 
 def parse_size(text: str) -> int:
-    """Accepts plain byte counts plus K/M/G suffixes (powers of 1024)."""
-    text = text.strip()
+    """A byte count of the form <bytes>[K|M|G], the suffixes powers of 1024
+    (``8192``, ``1M``, ``1.5K``); ValueError names text and that form."""
     units = {"K": 1024, "M": 1024 ** 2, "G": 1024 ** 3}
-    if text and text[-1].upper() in units:
-        return int(float(text[:-1]) * units[text[-1].upper()])
-    return int(text)
+    number = text.strip()
+    try:
+        if number and number[-1].upper() in units:
+            value = float(number[:-1]) * units[number[-1].upper()]
+        else:
+            value = int(number)
+        if value < 0:
+            raise ValueError
+        return int(value)
+    except (ValueError, OverflowError):
+        raise ValueError(f"expected a size of the form <bytes>[K|M|G], got {text!r}") from None
+
+
+def parse_named(name: str, parse, text: str):
+    """parse(text); a ValueError it raises is raised again led by name, the
+    option or flag that text came from."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass
@@ -77,8 +96,9 @@ class Config:
 
     def options(self, section: str, **parsers) -> dict:
         """The keys of section that the file sets, each parsed by its parser;
-        a key it leaves unset is left out, so the callee's default holds."""
-        return {key: parse(self.parser.get(section, key))
+        a key it leaves unset is left out, so the callee's default holds. A
+        value its parser refuses raises ValueError naming [section] key."""
+        return {key: parse_named(f"[{section}] {key}", parse, self.parser.get(section, key))
                 for key, parse in parsers.items() if self.parser.has_option(section, key)}
 
     @property

@@ -283,8 +283,8 @@ def rekey(store, *, file_id: str, new_policy: Iterable[str], mode: str,
         if stub_version > new.version:
             return new.version
         old_key = derive_file_key(unwind_to(new, stub_version))
-        stubs = caont.decrypt_stub_file(stub_blob, old_key)
-        new_blob = caont.encrypt_stub_file(stubs, derive_file_key(new))
+        plain = caont.decrypt_stub_file(stub_blob, old_key)
+        new_blob = caont.encrypt_stub_file(plain, derive_file_key(new))
         # below a later active rekey's stub file, this put changes nothing
         store.put_stub(file_id, new.version, new_blob)
     return new.version

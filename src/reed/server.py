@@ -234,11 +234,13 @@ class ContainerStore:
             self._fh = None
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    """Replace path with data, which is fsynced before the rename."""
+def _atomic_write(path: str, *parts) -> None:
+    """Replace path with the byte buffers parts, written one after another
+    and fsynced before the rename."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        for part in parts:
+            fh.write(part)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -311,8 +313,9 @@ class BlobStore:
     def _path(self, kind: str, obj_id: str) -> str:
         return os.path.join(self.root, kind, obj_id.encode("utf-8").hex())
 
-    def put(self, kind: str, obj_id: str, version: int, blob: bytes,
+    def put(self, kind: str, obj_id: str, version: int, blob,
             expected_prev: int | None = None) -> None:
+        """Store blob, any byte buffer, as the object's record at version."""
         path = self._path(kind, obj_id)
         with self._lock:
             current, old_size = None, 0
@@ -327,7 +330,7 @@ class BlobStore:
                     f"{kind}/{obj_id}: current version is {current}, expected {expected_prev}")
             if current is not None and version < current:
                 return
-            _atomic_write(path, _VERSION.pack(version) + blob)
+            _atomic_write(path, _VERSION.pack(version), blob)
             self._sizes[kind] = self._sizes.get(kind, 0) + len(blob) - old_size
             _fsync_dir(os.path.dirname(path))
 
@@ -493,7 +496,7 @@ class StorageService:
             if flags & ~wire.PUT_EXPECTED_PREV:
                 raise InvalidOperand(f"unknown blob put flags {flags:#04x}")
             expected = r.u32() if flags & wire.PUT_EXPECTED_PREV else None
-            blob = r.bytes_u32()
+            blob = r.view(r.u32())  # written straight from the request payload
             r.done()
             store.put(kind, obj_id, version, blob, expected)
             return b""

@@ -132,6 +132,10 @@ def generate_trace(seed: int, snapshots: int, chunks_per_snapshot: int,
                    mutation_rate: float) -> list[list[TraceRecord]]:
     """Deterministic synthetic trace; each snapshot mutates the given fraction
     of the previous snapshot's records to fresh unique content."""
+    if snapshots < 1:
+        raise ValueError(f"snapshots must be at least 1, not {snapshots}")
+    if chunks_per_snapshot < 0:
+        raise ValueError(f"chunks_per_snapshot must be at least 0, not {chunks_per_snapshot}")
     if not 0.0 <= mutation_rate <= 1.0:
         raise ValueError("mutation rate must be within [0, 1]")
     rng = random.Random(seed)

@@ -315,20 +315,25 @@ def decode_byte_list(payload: bytes) -> list[memoryview]:
     return blobs
 
 
-def encode_blob_put(obj_id: str, version: int, blob: bytes,
-                    expected_prev: int | None = None) -> bytes:
+def encode_blob_put(obj_id: str, version: int, blob, expected_prev: int | None = None
+                    ) -> bytes:
+    """A put request; the blob, which may be any byte buffer, is copied
+    once, into the payload."""
     head = bytes([BLOB_PUT]) + prefixed(obj_id.encode("utf-8")) + u32(version)
     if expected_prev is None:
-        return head + b"\x00" + prefixed(blob)
-    return head + bytes([PUT_EXPECTED_PREV]) + u32(expected_prev) + prefixed(blob)
+        head += b"\x00"
+    else:
+        head += bytes([PUT_EXPECTED_PREV]) + u32(expected_prev)
+    return b"".join((head, u32(len(blob)), blob))
 
 
 def encode_blob_get(obj_id: str) -> bytes:
     return bytes([BLOB_GET]) + prefixed(obj_id.encode("utf-8"))
 
 
-def encode_blob_response(version: int, blob: bytes) -> bytes:
-    return u32(version) + prefixed(blob)
+def encode_blob_response(version: int, blob) -> bytes:
+    """A get reply; the blob is copied once, into the payload."""
+    return b"".join((u32(version), u32(len(blob)), blob))
 
 
 def decode_blob_response(payload: bytes) -> tuple[int, bytes]:

@@ -23,7 +23,8 @@ from reed import caont
 from reed.chunking import (ChunkingParams, SegmentationParams, chunk_stream,
                            fingerprint, segment)
 from reed.client import download, rekey_file, upload
-from reed.errors import AccessDenied, AtInitialState, IntegrityViolation
+from reed.errors import (AccessDenied, AtInitialState, AuthenticationFailure,
+                         IntegrityViolation)
 from reed.keygen import KeyManagerService, KeySession, blind, unblind
 from reed.rekeying import (DerivationKeyPair, derive_file_key, new_state,
                            unwind, unwind_to, unwrap_state, wind)
@@ -139,7 +140,7 @@ def test_criterion_05_key_regression_and_decryptability():
     states = [base]
     for _ in range(4):
         states.append(wind(states[-1], owner))
-    stub_blobs = [caont.encrypt_stub_file([os.urandom(64)], derive_file_key(s))
+    stub_blobs = [caont.encrypt_stub_file(os.urandom(64), derive_file_key(s))
                   for s in states]
     for held in range(5):
         for target in range(5):
@@ -186,7 +187,7 @@ def test_criterion_06_active_rekey_preserves_dedup(cluster, identities, tmp_path
     assert tree_digest(containers) == before
     version, new_stub = store.get_stub(fid)
     assert version == 1 and new_stub != old_stub
-    with pytest.raises(Exception):
+    with pytest.raises(AuthenticationFailure):
         caont.decrypt_stub_file(new_stub, old_file_key)
     assert download(fid, identity=identities["alice"], store=store) == data
     with pytest.raises(AccessDenied):

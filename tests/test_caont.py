@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
 from reed import caont
@@ -417,29 +418,74 @@ def test_memo_threads_match_serial_run(scheme):
 
 
 def test_stub_file_round_trip():
-    stubs = [os.urandom(64) for _ in range(7)]
+    stubs = os.urandom(7 * caont.STUB_SIZE)
     fk = os.urandom(32)
     blob = caont.encrypt_stub_file(stubs, fk)
     assert len(blob) == 7 * 64 + caont.STUB_FILE_OVERHEAD
     assert caont.decrypt_stub_file(blob, fk) == stubs
 
 
+def test_stub_file_of_6000_stubs_decrypts_to_one_bytes():
+    stubs = [os.urandom(caont.STUB_SIZE) for _ in range(6000)]
+    fk = os.urandom(32)
+    plain = caont.decrypt_stub_file(caont.encrypt_stub_file(bytearray().join(stubs), fk),
+                                    fk)
+    assert type(plain) is bytes
+    assert plain == b"".join(stubs)
+
+
 def test_stub_file_wrong_key_fails():
-    blob = caont.encrypt_stub_file([os.urandom(64)], os.urandom(32))
+    blob = caont.encrypt_stub_file(os.urandom(64), os.urandom(32))
     with pytest.raises(AuthenticationFailure):
         caont.decrypt_stub_file(blob, os.urandom(32))
 
 
 def test_stub_file_tamper_fails():
     fk = os.urandom(32)
-    blob = bytearray(caont.encrypt_stub_file([os.urandom(64)], fk))
+    blob = bytearray(caont.encrypt_stub_file(os.urandom(64), fk))
     blob[20] ^= 1
     with pytest.raises(AuthenticationFailure):
         caont.decrypt_stub_file(bytes(blob), fk)
 
 
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:5] + bytes([blob[5] ^ 1]) + blob[6:],  # nonce
+    lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),  # tag
+    lambda blob: blob[:-1],
+    lambda blob: blob[:caont.STUB_FILE_OVERHEAD - 1],
+], ids=["nonce", "tag", "one-byte-short", "shorter-than-overhead"])
+def test_stub_file_damaged_anywhere_fails(damage):
+    fk = os.urandom(32)
+    blob = caont.encrypt_stub_file(os.urandom(3 * caont.STUB_SIZE), fk)
+    with pytest.raises(AuthenticationFailure):
+        caont.decrypt_stub_file(damage(blob), fk)
+
+
+@pytest.mark.parametrize("size", [1, 63, 65, 6000 * 64 + 32])
+def test_stub_file_refuses_a_plaintext_that_is_not_whole_stubs(size):
+    with pytest.raises(ValueError, match="64-byte stubs"):
+        caont.encrypt_stub_file(bytes(size), os.urandom(32))
+
+
+def test_stub_file_whose_plaintext_is_not_whole_stubs_fails_authentication():
+    """An authentic blob over a ragged plaintext cannot pair stubs with chunks."""
+    fk, nonce = os.urandom(32), os.urandom(caont.GCM_NONCE_SIZE)
+    blob = nonce + AESGCM(fk).encrypt(nonce, os.urandom(65), None)
+    with pytest.raises(AuthenticationFailure, match="stub-aligned"):
+        caont.decrypt_stub_file(blob, fk)
+
+
+def test_stub_file_built_from_a_list_of_stubs_still_decrypts():
+    """The layout is unchanged: nonce || AES-GCM of the joined stubs, tag last."""
+    stubs = [os.urandom(caont.STUB_SIZE) for _ in range(5)]
+    fk, nonce = os.urandom(32), os.urandom(caont.GCM_NONCE_SIZE)
+    blob = nonce + AESGCM(fk).encrypt(nonce, b"".join(stubs), None)
+    assert caont.decrypt_stub_file(blob, fk) == b"".join(stubs)
+    assert caont.decrypt_stub_file(memoryview(blob), fk) == b"".join(stubs)
+
+
 def test_stub_file_reencryption_changes_ciphertext_not_content():
-    stubs = [os.urandom(64) for _ in range(3)]
+    stubs = os.urandom(3 * caont.STUB_SIZE)
     old_key, new_key = os.urandom(32), os.urandom(32)
     old_blob = caont.encrypt_stub_file(stubs, old_key)
     new_blob = caont.encrypt_stub_file(caont.decrypt_stub_file(old_blob, old_key),
@@ -452,5 +498,6 @@ def test_stub_file_reencryption_changes_ciphertext_not_content():
 
 def test_stub_file_empty_list():
     fk = os.urandom(32)
-    blob = caont.encrypt_stub_file([], fk)
-    assert caont.decrypt_stub_file(blob, fk) == []
+    blob = caont.encrypt_stub_file(b"", fk)
+    assert len(blob) == caont.STUB_FILE_OVERHEAD
+    assert caont.decrypt_stub_file(blob, fk) == b""

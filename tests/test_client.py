@@ -16,6 +16,7 @@ from reed import caont, cli
 from reed.chunking import ChunkingParams, SegmentationParams
 from reed.client import (ClientIdentity, Connection, Recipe, StoreSession, download,
                          file_id_for, rekey_file, upload)
+from reed.config import Config, parse_size
 from reed.errors import (AccessDenied, AuthenticationFailure, IntegrityViolation,
                          NotFound, NotOwner, PolicyEmpty, SchemeNotAllowed, UnknownUser)
 from reed.keygen import KeyManagerService, KeySession, ManagerKeyPair
@@ -216,8 +217,11 @@ def test_active_rekey_moves_only_stub_bytes(ready, identities, tmp_path):
     new_version, new_stub_blob = store.get_stub(fid)
     assert new_version == 1
     assert new_stub_blob != old_stub_blob
-    with pytest.raises(Exception):
+    with pytest.raises(AuthenticationFailure):
         caont.decrypt_stub_file(new_stub_blob, old_file_key)
+    new_state = unwrap_state(store.get_state(fid)[1], identities["alice"].access_key, "alice")
+    assert (caont.decrypt_stub_file(new_stub_blob, derive_file_key(new_state))
+            == caont.decrypt_stub_file(old_stub_blob, old_file_key))  # same stubs
     assert download(fid, identity=identities["alice"], store=store) == data
 
 
@@ -236,6 +240,42 @@ def test_member_revoked_by_active_rekey_cannot_read_old_stubs(ready, identities,
     with pytest.raises(AuthenticationFailure):
         caont.decrypt_stub_file(store.get_stub(fid)[1], bob_key)
     assert download(fid, identity=identities["alice"], store=store) == data
+
+
+def test_download_after_an_active_rekey_of_thousands_of_chunks(ready, identities,
+                                                                tmp_path):
+    """Each chunk pairs with its own stub of the rekeyed stub file, across
+    transfer batches: 2,561 chunks of 2 KiB, the last one short."""
+    data = random.Random(11).randbytes(5 * (1 << 20) + 100)
+    path = write_file(tmp_path, "f.bin", data)
+    store = ready.store_session()
+    fid = upload(path, policy=["alice", "bob"], identity=identities["alice"],
+                 store=store, keys=ready.key_session(),
+                 chunk_params=ChunkingParams(mode="fixed", fixed_size=2048))
+    assert Recipe.decode(store.get_recipe(fid)).chunk_count == 2561
+    rekey_file(fid, new_policy=["alice"], mode="active",
+               identity=identities["alice"], store=store)
+    version, blob = store.get_stub(fid)
+    assert version == 1
+    assert len(blob) == 2561 * caont.STUB_SIZE + caont.STUB_FILE_OVERHEAD
+    assert download(fid, identity=identities["alice"], store=store) == data
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["one-stub-short", "one-stub-over"])
+def test_a_stub_file_that_does_not_match_the_recipe_aborts_download(
+        ready, identities, tmp_path, change):
+    data = random.Random(12).randbytes(100_000)
+    path = write_file(tmp_path, "f.bin", data)
+    store = ready.store_session()
+    fid = upload(path, policy=["alice"], identity=identities["alice"],
+                 store=store, keys=ready.key_session())
+    file_key = derive_file_key(unwrap_state(store.get_state(fid)[1],
+                                            identities["alice"].access_key, "alice"))
+    plain = caont.decrypt_stub_file(store.get_stub(fid)[1], file_key)
+    plain = plain[:-caont.STUB_SIZE] if change < 0 else plain + bytes(caont.STUB_SIZE)
+    store.put_stub(fid, 0, caont.encrypt_stub_file(plain, file_key))
+    with pytest.raises(IntegrityViolation, match="stub count"):
+        download(fid, identity=identities["alice"], store=store)
 
 
 class RekeyAfterRead:
@@ -659,3 +699,41 @@ def test_a_config_setting_nothing_builds_the_library_defaults(tmp_path, monkeypa
     assert ((manager.limiter.capacity, manager.limiter.refill_rate, manager.batch_cap)
             == (default_manager.limiter.capacity, default_manager.limiter.refill_rate,
                 default_manager.batch_cap))
+
+
+@pytest.mark.parametrize("text, size", [("8192", 8192), ("1M", 1 << 20), ("1.5K", 1536),
+                                        (" 2g ", 2 << 30), ("0", 0)])
+def test_parse_size_reads_bytes_and_binary_suffixes(text, size):
+    assert parse_size(text) == size
+
+
+@pytest.mark.parametrize("text", ["abc", "", "K", "12X", "1.5", "-1", "-1K", "-0.5M",
+                                  "nanK", "infG"])
+def test_parse_size_names_the_bad_text_and_the_form(text):
+    with pytest.raises(ValueError) as info:
+        parse_size(text)
+    assert str(info.value) == f"expected a size of the form <bytes>[K|M|G], got {text!r}"
+
+
+@pytest.mark.parametrize("section, key, value, read", [
+    ("chunk", "min_size", "2x", lambda cfg: cfg.chunk_params),
+    ("segment", "avg_size", "-1M", lambda cfg: cfg.segment_params(ChunkingParams())),
+    ("manager", "rate_refill", "fast",
+     lambda cfg: cfg.options("manager", rate_refill=float)),
+])
+def test_config_names_the_section_and_key_of_a_bad_value(tmp_path, section, key, value,
+                                                        read):
+    config = tmp_path / "reed.ini"
+    config.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"^\[{section}\] {key}: .*{value!r}"):
+        read(Config.load(str(config)))
+
+
+def test_cli_reports_a_bad_config_size_naming_its_key(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "reed.ini"
+    config.write_text("[server]\ncontainer_size = 4X\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--config", str(config), "serve-store"]) == 1
+    assert capsys.readouterr().err == ("error: [server] container_size: expected a size "
+                                       "of the form <bytes>[K|M|G], got '4X'\n")
+    assert os.listdir(tmp_path) == ["reed.ini"]  # refused before any root is made

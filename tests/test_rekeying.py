@@ -202,7 +202,7 @@ def test_decryptability_matrix(owner_keys):
     states = [new_state("alice", owner_keys)]
     for _ in range(3):
         states.append(wind(states[-1], owner_keys))
-    stub_blobs = [caont.encrypt_stub_file([os.urandom(64)], derive_file_key(s))
+    stub_blobs = [caont.encrypt_stub_file(os.urandom(64), derive_file_key(s))
                   for s in states]
     for held in range(len(states)):
         for target in range(len(states)):
@@ -231,7 +231,7 @@ def store(tmp_path):
 
 def _seed_file(store, owner_keys, access_keys, directory, policy=("alice", "bob")):
     state = new_state("alice", owner_keys)
-    stubs = [os.urandom(64) for _ in range(3)]
+    stubs = os.urandom(3 * caont.STUB_SIZE)  # the plaintext of a 3-chunk stub file
     store.put_stub("file-1", 0, caont.encrypt_stub_file(stubs, derive_file_key(state)))
     store.put_state("file-1", 0, wrap_state(state, members(directory, *policy)))
     for name in ("alice", "bob", "carol"):
@@ -268,7 +268,7 @@ def test_active_rekey_reencrypts_stubs(store, owner_keys, access_keys, directory
     new_state_obj = unwrap_state(store.get_state("file-1")[1],
                                  access_keys["alice"], "alice")
     assert caont.decrypt_stub_file(new_blob, derive_file_key(new_state_obj)) == stubs
-    with pytest.raises(Exception):
+    with pytest.raises(AuthenticationFailure):
         caont.decrypt_stub_file(new_blob, derive_file_key(state))
 
 

@@ -228,3 +228,42 @@ def test_recipe_entries_keep_their_layout():
     for cut in (1, 40):  # a torn entry, and one entry fewer than the count
         with pytest.raises(InvalidOperand, match="truncated"):
             Recipe.decode(blob[:-cut])
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) + 3], ids=["empty", "one-byte", "over-1MiB"])
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_blob_put_and_get_round_trip_over_both_transports(services, transport, size):
+    """A get returns the version and bytes put, and the record on disk is
+    exactly u32 version || blob, for a put with and without expected_prev."""
+    objects, conns = services
+    store = objects["store"]
+    backend = wire.LocalBackend(store) if transport == "local" else conns["store"]
+    obj_id = f"parity-{transport}-{size}"
+    record = os.path.join(store.data_root, "blobs", "stub", obj_id.encode().hex())
+    rng = random.Random(size)
+    for version, expected_prev in [(3, None), (4, 3)]:
+        blob = rng.randbytes(size)
+        payload = wire.encode_blob_put(obj_id, version, blob, expected_prev)
+        assert wire.call(backend, wire.MSG_STUB_FILE, payload) == b""
+        reply = wire.call(backend, wire.MSG_STUB_FILE, wire.encode_blob_get(obj_id))
+        got_version, got = wire.decode_blob_response(reply)
+        assert (got_version, got) == (version, blob)
+        assert type(got) is bytes
+        with open(record, "rb") as fh:
+            assert fh.read() == struct.pack(">I", version) + blob
+
+
+def test_blob_frames_keep_their_layout():
+    blob = bytes(range(7))
+    assert wire.encode_blob_put("id", 5, blob) == (
+        b"\x00" + b"\x00\x00\x00\x02id" + b"\x00\x00\x00\x05" + b"\x00"
+        + b"\x00\x00\x00\x07" + blob)
+    assert wire.encode_blob_put("id", 5, memoryview(blob), expected_prev=4) == (
+        b"\x00" + b"\x00\x00\x00\x02id" + b"\x00\x00\x00\x05" + b"\x01"
+        + b"\x00\x00\x00\x04" + b"\x00\x00\x00\x07" + blob)
+    assert wire.encode_blob_get("id") == b"\x01" + b"\x00\x00\x00\x02id"
+    reply = wire.encode_blob_response(9, blob)
+    assert reply == b"\x00\x00\x00\x09" + b"\x00\x00\x00\x07" + blob
+    assert wire.decode_blob_response(bytearray(reply)) == (9, blob)
+    with pytest.raises(InvalidOperand):
+        wire.decode_blob_response(reply[:-1])

@@ -197,3 +197,35 @@ def test_span_tracer_sees_every_stage(cluster, identities, tmp_path):
     assert counts["chunking.segment"] >= 1
     for name in ("chunking.fingerprint", "caont.encrypt_chunk", "caont.decrypt_chunk"):
         assert sizes[name] == size, name
+
+
+def test_span_tracer_sees_an_active_rekey(cluster, identities, tmp_path):
+    """The traced caont.stub_file spans cover rekeys: an active rekey shows
+    its stub-file decrypt and re-encrypt, and the server's blob puts."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import spans
+    finally:
+        sys.path.pop(0)
+    alice = identities["alice"]
+    cluster.register(alice)
+    path = str(tmp_path / "rekeyed.bin")
+    data = random.Random(6).randbytes(300_000)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    store = cluster.store_session()
+    fid = upload(path, policy=["alice"], identity=alice, store=store,
+                 keys=cluster.key_session())
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        client.rekey_file(fid, new_policy=["alice"], mode="active", identity=alice,
+                          store=store)
+    finally:
+        tracer.uninstall()
+    counts = {}
+    for s in tracer.spans:
+        counts[s.name] = counts.get(s.name, 0) + 1
+    assert counts.get("caont.stub_file") == 2  # the decrypt and the re-encrypt
+    assert counts.get("server.blob_put") == 2  # the wrapped state, then the stub file
+    assert client.download(fid, identity=alice, store=store) == data

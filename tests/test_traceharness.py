@@ -95,6 +95,20 @@ def test_generator_validates_rate():
         generate_trace(1, 2, 10, 1.5)
 
 
+@pytest.mark.parametrize("snapshots, chunks, name", [
+    (0, 2, "snapshots must be at least 1, not 0"),
+    (-1, 2, "snapshots must be at least 1, not -1"),
+    (2, -3, "chunks_per_snapshot must be at least 0, not -3"),
+], ids=["no-snapshots", "negative-snapshots", "negative-chunks"])
+def test_generator_refuses_bad_counts(snapshots, chunks, name):
+    with pytest.raises(ValueError, match=name):
+        generate_trace(1, snapshots, chunks, 0.1)
+
+
+def test_generator_takes_one_snapshot_of_no_chunks():
+    assert generate_trace(1, 1, 0, 0.1) == [[]]
+
+
 # -- replay laws ------------------------------------------------------------------------
 
 
@@ -349,7 +363,16 @@ def test_trace_cli_replay_output_is_pinned(tmp_path, capsys, mode):
      "mutation rate must be within [0, 1]"),
     (["replay", "{trace}", "--mode", "chunk", "--avg-segment", "0"],
      "sizes must be positive"),
-], ids=["missing-trace", "mutate-2", "avg-segment-0"])
+    (["gen", "--seed", "1", "--snapshots", "0", "--chunks", "2", "--mutate", "0.1"],
+     "snapshots must be at least 1"),
+    (["gen", "--seed", "1", "--snapshots", "2", "--chunks", "-3", "--mutate", "0.1"],
+     "chunks_per_snapshot must be at least 0"),
+    (["replay", "{trace}", "--mode", "chunk", "--avg-segment", "abc"],
+     "--avg-segment: expected a size of the form <bytes>[K|M|G], got 'abc'"),
+    (["replay", "{trace}", "--mode", "chunk", "--avg-chunk=-8K"],
+     "--avg-chunk: expected a size of the form <bytes>[K|M|G], got '-8K'"),
+], ids=["missing-trace", "mutate-2", "avg-segment-0", "snapshots-0", "chunks-negative",
+        "avg-segment-abc", "avg-chunk-negative"])
 def test_trace_cli_reports_a_bad_input_as_one_error_line(tmp_path, capsys, argv, message):
     trace_path = tmp_path / "t.trace"
     trace_path.write_text(format_trace(generate_trace(1, 1, 3, 0.0)))
