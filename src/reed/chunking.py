@@ -141,8 +141,8 @@ def _boundary_candidates(data: bytes, window: int, mask: int,
     Only H's low bits under the mask are tested, and the low w bits of
     sums and products mod 2**64 depend only on the low w bits of their
     operands, so the scan runs mod 2**w in the narrowest dtype that holds
-    the mask and finds exactly the candidates of the 64-bit hash. Blocks
-    of window starts are scanned in three buffers allocated once.
+    the mask and finds exactly the candidates of the 64-bit hash. Window
+    starts are scanned in blocks, which bound what one call allocates.
     """
     n = len(data)
     if n < window:
@@ -151,44 +151,24 @@ def _boundary_candidates(data: bytes, window: int, mask: int,
     modulus = 1 << (8 * np.dtype(dt).itemsize)
     maskw = dt(mask)
     last = n - window  # last valid window start
-    max_m = min(block, last + 1) + window - 1
     power = {e: dt(pow(ROLLING_POLY, e, modulus)) for e in range(window + 1)}
-    pool = [np.empty(max_m, dtype=dt) for _ in range(3)]
 
     out = []
     i0 = 0
     while i0 <= last:
         k = min(block, last - i0 + 1)
-        m = k + window - 1
-        raw = cur = np.frombuffer(data, dtype=np.uint8, count=m, offset=i0)
-        spare = list(pool)
-        acc = None  # W_r over the m - r + 1 starts, r the window bits seen
-        r, s = 0, 1  # cur holds W_s over m - s + 1 starts
+        cur = np.frombuffer(data, dtype=np.uint8, count=k + window - 1,
+                            offset=i0).astype(dt)
+        acc = None  # W_r over the starts it covers, r the window bits seen
+        r, s = 0, 1  # cur holds W_s
         while True:
             if window & s:
-                if acc is None:
-                    acc = cur
-                else:
-                    nxt = spare.pop()
-                    count = m - s - r + 1
-                    np.multiply(cur[:count], power[r], out=nxt[:count], dtype=dt)
-                    np.add(nxt[:count], acc[s:s + count], out=nxt[:count], dtype=dt)
-                    if acc is not raw:
-                        spare.append(acc)
-                    acc = nxt
+                acc = cur if acc is None else cur[:len(acc) - s] * power[r] + acc[s:]
                 r += s
             if 2 * s > window:
                 break
-            nxt = spare.pop()
-            count = m - 2 * s + 1
-            np.multiply(cur[:count], power[s], out=nxt[:count], dtype=dt)
-            np.add(nxt[:count], cur[s:s + count], out=nxt[:count], dtype=dt)
-            if cur is not raw and cur is not acc:
-                spare.append(cur)
-            cur, s = nxt, 2 * s
-        h = spare[-1][:k]
-        np.bitwise_and(acc[:k], maskw, out=h, dtype=dt)
-        hits = np.flatnonzero(h == maskw)
+            cur, s = cur[:-s] * power[s] + cur[s:], 2 * s
+        hits = np.flatnonzero((acc & maskw) == maskw)
         if len(hits):
             out.append(hits + (i0 + window))
         i0 += k

@@ -16,7 +16,7 @@ import tempfile
 from . import caont, errors, traceharness
 from .client import (KEYINGS, ClientIdentity, Connection, StoreSession, download_to,
                      register_identity, rekey_file, upload)
-from .config import Config, parse_address, parse_named, parse_size
+from .config import Config, parse_named, parse_size
 from .keygen import KeyManagerService, KeySession, ManagerKeyPair
 from .server import FrameServer, StorageService
 
@@ -65,18 +65,21 @@ def _upload_options(args, cfg: Config) -> dict:
     return {key: _UPLOAD_NAMES[key][name] for key, name in named.items()}
 
 
-@contextlib.contextmanager
 def _store_session(cfg: Config):
-    host, port = parse_address(cfg.get("client", "server"))
-    with Connection(host, port) as conn:
-        yield StoreSession(conn)
+    """A session to [client] server, to enter with ``with``; a bad address
+    is refused here, before anything connects."""
+    return _session(StoreSession, cfg.address("client", "server"))
+
+
+def _key_session(cfg: Config):
+    """A session to [client] manager, as _store_session."""
+    return _session(KeySession, cfg.address("client", "manager"))
 
 
 @contextlib.contextmanager
-def _key_session(cfg: Config):
-    host, port = parse_address(cfg.get("client", "manager"))
-    with Connection(host, port) as conn:
-        yield KeySession(conn)
+def _session(session_cls, address: tuple[str, int]):
+    with Connection(*address) as conn:
+        yield session_cls(conn)
 
 
 def _umask() -> int:
@@ -137,8 +140,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args, cfg: Config) -> int:
     if args.command == "keygen-register":
+        session = _store_session(cfg)  # before the identity is made
         identity = _identity(cfg, create_user=args.user)
-        with _store_session(cfg) as store:
+        with session as store:
             register_identity(store, identity)
         print(f"registered {identity.user_id}")
         return EXIT_OK
@@ -151,7 +155,8 @@ def _run(args, cfg: Config) -> int:
             chunk_params = dataclasses.replace(chunk_params, mode="fixed")
         elif args.rabin:
             chunk_params = dataclasses.replace(chunk_params, mode="rabin")
-        with _store_session(cfg) as store, _key_session(cfg) as keys:
+        sessions = _store_session(cfg), _key_session(cfg)  # both addresses, then connect
+        with sessions[0] as store, sessions[1] as keys:
             file_id = upload(
                 args.path,
                 policy=args.policy.split(","),
@@ -205,7 +210,7 @@ def _run(args, cfg: Config) -> int:
         return EXIT_OK
 
     if args.command == "serve-store":
-        host, port = parse_address(cfg.get("server", "listen"))
+        host, port = cfg.address("server", "listen")
         service = StorageService(cfg.get("server", "data_root"),
                                  cfg.get("server", "key_root"),
                                  **cfg.options("server", container_size=parse_size))
@@ -215,7 +220,7 @@ def _run(args, cfg: Config) -> int:
         return EXIT_OK
 
     if args.command == "serve-manager":
-        host, port = parse_address(cfg.get("manager", "listen"))
+        host, port = cfg.address("manager", "listen")
         keypair = ManagerKeyPair.load_or_create(cfg.get("manager", "key_file"))
         service = KeyManagerService(
             keypair, **cfg.options("manager", rate_capacity=parse_size,

@@ -25,13 +25,14 @@ from cryptography.hazmat.primitives.asymmetric import rsa
 from . import caont, wire
 from .chunking import (Chunk, ChunkingParams, Segment, SegmentationParams,
                        chunk_stream, fingerprint, segment)
-from .errors import IntegrityViolation, SchemeNotAllowed, TransportError
+from .errors import (IntegrityViolation, InvalidOperand, SchemeNotAllowed,
+                     TransportError)
 from .keygen import KeySession, write_private
 from .rekeying import (DerivationKeyPair, access_public_pem, derive_file_key,
                        generate_access_keypair, new_state, unwind_to, unwrap_state,
                        wrap_state)
 from . import rekeying
-from .server import ServerStats
+from .server import ServerStats, _make_dirs
 
 KEYING_CHUNK = "chunk"
 KEYING_SIMILARITY = "similarity"
@@ -150,7 +151,7 @@ class ClientIdentity:
                    derivation=DerivationKeyPair.generate())
 
     def save(self, directory: str) -> None:
-        os.makedirs(directory, exist_ok=True)
+        _make_dirs(directory)
         pem = self.access_key.private_bytes(
             serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
             serialization.NoEncryption())
@@ -221,23 +222,31 @@ class Recipe:
 
     @classmethod
     def decode(cls, blob: bytes) -> "Recipe":
+        """Parse a recipe. Any damage raises IntegrityViolation naming it, as a
+        damaged stub file or package does."""
         r = wire.Reader(blob)
-        if r.u32() != RECIPE_FORMAT:
-            raise IntegrityViolation("unsupported recipe format")
-        file_id = r.take(32).hex()
-        pathname = r.text()
-        size = r.u64()
-        count = r.u64()
-        scheme = r.u8()
-        keying = KEYING_SIMILARITY if r.u8() else KEYING_CHUNK
-        state_version = r.u32()
-        entries = list(_RECIPE_ENTRY.iter_unpack(r.take(count * _RECIPE_ENTRY.size)))
-        r.done()
-        recipe = cls(file_id=file_id, pathname=pathname, size=size, scheme=scheme,
-                     keying=keying, state_version=state_version, entries=entries)
+        try:
+            if r.u32() != RECIPE_FORMAT:
+                raise IntegrityViolation("unsupported recipe format")
+            file_id = r.take(32).hex()
+            pathname = r.text()
+            size = r.u64()
+            count = r.u64()
+            scheme, keying = r.u8(), r.u8()
+            state_version = r.u32()
+            entries = list(_RECIPE_ENTRY.iter_unpack(r.take(count * _RECIPE_ENTRY.size)))
+            r.done()
+        except InvalidOperand as exc:
+            raise IntegrityViolation(f"damaged recipe: {exc}") from None
+        if scheme not in caont.SCHEME_NAMES:
+            raise IntegrityViolation(f"recipe names no scheme: scheme byte {scheme}")
+        if keying > 1:
+            raise IntegrityViolation(f"recipe names no keying: keying byte {keying}")
         if sum(length for _, length, _ in entries) != size:
             raise IntegrityViolation("recipe chunk lengths do not add up to the file size")
-        return recipe
+        return cls(file_id=file_id, pathname=pathname, size=size, scheme=scheme,
+                   keying=KEYING_SIMILARITY if keying else KEYING_CHUNK,
+                   state_version=state_version, entries=entries)
 
 
 # -- pipelines ----------------------------------------------------------------------

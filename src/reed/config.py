@@ -47,6 +47,8 @@ def parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(f"expected host:port, got {text!r}")
+    if int(port) > 65535:
+        raise ValueError(f"port out of range 0-65535, got {text!r}")
     return host, int(port)
 
 
@@ -84,7 +86,6 @@ class Config:
     def load(cls, path: str | None = None) -> "Config":
         parser = configparser.ConfigParser()
         parser.read_dict(DEFAULTS)
-        path = path or os.environ.get("REED_CONFIG")
         if path:
             if not os.path.exists(path):
                 raise FileNotFoundError(f"config file {path} does not exist")
@@ -100,6 +101,10 @@ class Config:
         value its parser refuses raises ValueError naming [section] key."""
         return {key: parse_named(f"[{section}] {key}", parse, self.parser.get(section, key))
                 for key, parse in parsers.items() if self.parser.has_option(section, key)}
+
+    def address(self, section: str, key: str) -> tuple[str, int]:
+        """The host and port of [section] key; ValueError names the key."""
+        return parse_named(f"[{section}] {key}", parse_address, self.get(section, key))
 
     @property
     def chunk_params(self) -> ChunkingParams:

@@ -31,6 +31,7 @@ from . import wire
 from .errors import (InvalidOperand, PrivateKeyFault, RateLimited, SignatureInvalid,
                      TransportError, ZeroFingerprint)
 from .libcrypto import mod_exp
+from .server import _fsync_dir
 
 DEFAULT_MODULUS_BITS = 1024
 DEFAULT_RATE_CAPACITY = 10_000
@@ -42,12 +43,22 @@ KEY_CACHE_ENTRIES = 16_384
 
 
 def write_private(path: str, data: bytes) -> None:
-    """Write secret key material readable by its owner only; a file that
-    already exists loses any wider mode before the data goes in."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    """Replace path with secret key material readable by its owner only.
+
+    The data goes to a temporary file of mode 0600 (a leftover one loses
+    any wider mode first), which is fsynced and renamed over path before
+    the directory is fsynced. So path holds its old content or the new,
+    whole, and the new content is durable once this returns.
+    """
+    tmp = path + ".tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     with open(fd, "wb") as fh:
         os.fchmod(fd, 0o600)
         fh.write(data)
+        fh.flush()
+        os.fsync(fd)
+    os.replace(tmp, path)
+    _fsync_dir(os.path.dirname(os.path.abspath(path)))
 
 
 @dataclass(frozen=True)
@@ -239,6 +250,9 @@ class KeyManagerService:
                  rate_refill: float = DEFAULT_RATE_REFILL,
                  batch_cap: int = DEFAULT_BATCH_CAP,
                  clock: Callable[[], float] = time.monotonic):
+        for name, value in (("batch_cap", batch_cap), ("rate_capacity", rate_capacity)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, not {value}")
         self.keypair = keypair
         self.limiter = TokenBucket(rate_capacity, rate_refill, clock)
         self.batch_cap = batch_cap
@@ -273,10 +287,12 @@ class KeyManagerService:
             signed = self.sign_batch(wire.decode_int_list(payload, width), client_id)
             return wire.encode_int_list(signed, width)
         if msg_type == wire.MSG_MANAGER_PUBKEY:
-            # n, e, and the cap by which clients split their batches
+            # n, e, and the cap by which clients split their batches: no
+            # larger than the bucket, which refuses a larger batch forever
             pub = self.public_key
+            cap = min(self.batch_cap, self.limiter.capacity)
             return (wire.prefixed(pub.n.to_bytes(width, "big"))
-                    + wire.prefixed(pub.e.to_bytes(4, "big")) + wire.u32(self.batch_cap))
+                    + wire.prefixed(pub.e.to_bytes(4, "big")) + wire.u32(cap))
         raise InvalidOperand(f"unknown message type {msg_type:#x}")
 
 

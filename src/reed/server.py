@@ -210,18 +210,24 @@ class ContainerStore:
             self._fh.flush()
             os.fsync(self._fh.fileno())
 
-    def read_many(self, cid: int, spans: list[tuple[int, int]]) -> list[bytes]:
-        """Read several (offset, length) spans with one container open.
+    def read(self, spans: list[tuple[int, int, int]]) -> list[bytes]:
+        """Read (container, offset, length) spans in the order given, opening
+        each container once.
 
         Every indexed span is already on disk: store_packages flushes and
         fsyncs the container before it writes the span's index record.
         """
-        out = []
-        with open(self._path(cid), "rb") as fh:
-            for offset, length in spans:
-                fh.seek(offset)
-                out.append(fh.read(length))
-        return out
+        fds: dict[int, int] = {}
+        try:
+            out = []
+            for cid, offset, length in spans:
+                if cid not in fds:
+                    fds[cid] = os.open(self._path(cid), os.O_RDONLY)
+                out.append(os.pread(fds[cid], length, offset))
+            return out
+        finally:
+            for fd in fds.values():
+                os.close(fd)
 
     @property
     def count(self) -> int:
@@ -444,17 +450,8 @@ class StorageService:
 
     def get_packages(self, fps: list[bytes]) -> list[bytes]:
         with self._lock:
-            entries = [self.index.get(fp) for fp in fps]
-        by_container: dict[int, list[int]] = {}
-        for pos, (cid, _, _) in enumerate(entries):
-            by_container.setdefault(cid, []).append(pos)
-        out: list[bytes] = [b""] * len(fps)
-        for cid in sorted(by_container):
-            positions = by_container[cid]
-            spans = [entries[pos][1:] for pos in positions]
-            for pos, data in zip(positions, self.containers.read_many(cid, spans)):
-                out[pos] = data
-        return out
+            spans = [self.index.get(fp) for fp in fps]
+        return self.containers.read(spans)
 
     def stats(self) -> ServerStats:
         with self._lock:

@@ -12,7 +12,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher
 
 from conftest import assert_one_stub_record, tree_digest
-from reed import caont, cli
+from reed import caont, cli, wire
 from reed.chunking import ChunkingParams, SegmentationParams
 from reed.client import (ClientIdentity, Connection, Recipe, StoreSession, download,
                          file_id_for, rekey_file, upload)
@@ -536,7 +536,64 @@ def test_cli_bad_server_address_exits_with_an_error(tmp_path, capsys):
     with open(cfg, "w") as fh:
         fh.write("[client]\nserver = nohost\n")
     assert cli.main(["--config", cfg, "stats"]) == 1
-    assert capsys.readouterr().err == "error: expected host:port, got 'nohost'\n"
+    assert capsys.readouterr().err == ("error: [client] server: expected host:port, "
+                                       "got 'nohost'\n")
+
+
+def refuse_to_act(monkeypatch, manager_keypair) -> None:
+    """Make connecting, listening and serving fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command went on past a bad address")
+
+    for name in ("Connection", "FrameServer", "_serve_until_interrupt"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli, "_identity", lambda cfg: None)
+    monkeypatch.setattr(ManagerKeyPair, "load_or_create",
+                        staticmethod(lambda path: manager_keypair))
+
+
+@pytest.mark.parametrize("section, key, command", [
+    ("client", "manager", "upload"),
+    ("server", "listen", "serve-store"),
+    ("manager", "listen", "serve-manager"),
+])
+def test_cli_bad_address_names_its_key(tmp_path, capsys, monkeypatch, manager_keypair,
+                                       section, key, command):
+    config = tmp_path / "reed.ini"
+    config.write_text(f"[{section}]\n{key} = nohost\n")
+    monkeypatch.chdir(tmp_path)
+    refuse_to_act(monkeypatch, manager_keypair)
+    argv = ["--config", str(config), command]
+    if command == "upload":
+        argv += ["f", "--policy", "a"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (f"error: [{section}] {key}: expected host:port, "
+                                       f"got 'nohost'\n")
+    assert os.listdir(tmp_path) == ["reed.ini"]
+
+
+@pytest.mark.parametrize("section, key, command", [
+    ("client", "server", "stats"),
+    ("server", "listen", "serve-store"),
+])
+def test_cli_refuses_an_out_of_range_port(tmp_path, capsys, monkeypatch, manager_keypair,
+                                          section, key, command):
+    config = tmp_path / "reed.ini"
+    config.write_text(f"[{section}]\n{key} = 127.0.0.1:70000\n")
+    monkeypatch.chdir(tmp_path)
+    refuse_to_act(monkeypatch, manager_keypair)
+    assert cli.main(["--config", str(config), command]) == 1
+    assert capsys.readouterr().err == (f"error: [{section}] {key}: port out of range "
+                                       f"0-65535, got '127.0.0.1:70000'\n")
+    assert not os.path.exists(tmp_path / "reed-data")  # the default data_root
+
+
+def test_cli_refuses_a_batch_cap_of_zero(tmp_path, capsys, monkeypatch, manager_keypair):
+    config = tmp_path / "reed.ini"
+    config.write_text("[manager]\nbatch_cap = 0\n")
+    refuse_to_act(monkeypatch, manager_keypair)
+    assert cli.main(["--config", str(config), "serve-manager"]) == 1
+    assert capsys.readouterr().err == "error: batch_cap must be at least 1, not 0\n"
 
 
 def test_cli_refuses_an_identity_without_primes_naming_its_file(ready, tmp_path, capsys):
@@ -568,6 +625,39 @@ def test_cli_bad_recipe_exits_with_an_error(ready, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["--config", cfg, "download", fid, "-o", out_path]) == 3
     assert capsys.readouterr().err == "error: unsupported recipe format\n"
+    assert not os.path.exists(out_path)
+
+
+def recipe_blob(scheme: int = caont.SCHEME_ENHANCED, keying: int = 1,
+                path: bytes = b"/f") -> bytes:
+    """A format-1 recipe of one 3-byte chunk, written field by field."""
+    return b"".join([wire.u32(1), bytes(32), wire.prefixed(path), wire.u64(3), wire.u64(1),
+                     bytes([scheme, keying]), wire.u32(0),
+                     bytes(32), wire.u32(3), wire.u32(0)])
+
+
+@pytest.mark.parametrize("blob, fault", [
+    (recipe_blob()[:-1], "damaged recipe: truncated payload"),
+    (recipe_blob() + b"\x00", "damaged recipe: trailing bytes in payload"),
+    (recipe_blob(path=b"\xff\xfe"), "damaged recipe: text field is not valid UTF-8"),
+    (recipe_blob(scheme=7), "recipe names no scheme: scheme byte 7"),
+    (recipe_blob(keying=2), "recipe names no keying: keying byte 2"),
+], ids=["truncated", "trailing-byte", "non-utf8-path", "unknown-scheme", "unknown-keying"])
+def test_a_damaged_recipe_is_an_integrity_violation(blob, fault):
+    with pytest.raises(IntegrityViolation) as info:
+        Recipe.decode(blob)
+    assert str(info.value) == fault
+
+
+def test_cli_truncated_recipe_exits_with_the_integrity_code(ready, tmp_path, capsys):
+    cfg = make_config(tmp_path, ready, "truncated")
+    assert cli.main(["--config", cfg, "keygen-register", "--user", "truncated"]) == 0
+    fid = "cd" * 32
+    ready.store_session().put_recipe(fid, recipe_blob()[:-1])
+    out_path = os.path.join(str(tmp_path), "t.bin")
+    capsys.readouterr()
+    assert cli.main(["--config", cfg, "download", fid, "-o", out_path]) == 3
+    assert capsys.readouterr().err == "error: damaged recipe: truncated payload\n"
     assert not os.path.exists(out_path)
 
 

@@ -15,8 +15,9 @@ import pytest
 
 from conftest import Crash, CrashPoints, Ledger, abandon, durability_problems
 from reed.chunking import ChunkingParams
-from reed.client import StoreSession, download, register_identity, rekey_file, upload
-from reed.keygen import KeyManagerService, KeySession
+from reed.client import (ClientIdentity, StoreSession, download, register_identity,
+                         rekey_file, upload)
+from reed.keygen import KeyManagerService, KeySession, ManagerKeyPair
 from reed.rekeying import ACTIVE
 from reed.server import StorageService
 from reed.wire import LocalBackend
@@ -118,3 +119,70 @@ def test_every_cut_point_keeps_acknowledged_writes(script, lose_unsynced):
         assert len(points.steps) == k
         failures += [f"k={k} ({steps[k - 1]}): {p}" for p in problems]
     assert failures == []
+
+
+# -- key files -----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def key_owners(identities, manager_keypair):
+    """Per kind of key file: an old and a new owner, the files a save
+    writes, and the save."""
+    return {
+        "identity": (identities["alice"], identities["bob"],
+                     ("access_key.pem", "identity.json"),
+                     lambda owner, directory: owner.save(directory)),
+        "manager": (manager_keypair, ManagerKeyPair.generate(), ("manager.pem",),
+                    lambda owner, directory: owner.save_pem(
+                        os.path.join(directory, "manager.pem"))),
+    }
+
+
+def read_files(directory, names) -> dict[str, bytes]:
+    return {name: (directory / name).read_bytes() for name in names}
+
+
+def test_a_completed_key_save_survives_a_crash(tmp_path, identities, manager_keypair):
+    for lose_unsynced in (False, True):
+        base = tmp_path / f"lose-unsynced-{lose_unsynced}"
+        base.mkdir()
+        points = CrashPoints(str(base), lose_unsynced=lose_unsynced)
+        with points.armed():
+            identities["alice"].save(str(base / "identity"))  # a directory it makes
+            manager_keypair.save_pem(str(base / "manager.pem"))
+        points.settle()
+        loaded = ClientIdentity.load(str(base / "identity"))
+        assert (loaded.user_id, loaded.derivation) == ("alice", identities["alice"].derivation)
+        assert ManagerKeyPair.load_pem(str(base / "manager.pem")) == manager_keypair
+
+
+@pytest.mark.parametrize("kind", ["identity", "manager"])
+def test_a_key_save_cut_anywhere_leaves_each_file_old_or_new(tmp_path, key_owners, kind):
+    old, new, names, save = key_owners[kind]
+    expected = {}
+    for label, owner in (("old", old), ("new", new)):
+        (tmp_path / label).mkdir()
+        save(owner, str(tmp_path / label))
+        expected[label] = read_files(tmp_path / label, names)
+    for lose_unsynced in (False, True):
+        cut = 1
+        while True:  # until a cut past the last step lets the save finish
+            base = tmp_path / f"lose-unsynced-{lose_unsynced}-cut-{cut}"
+            base.mkdir()
+            save(old, str(base))
+            points = CrashPoints(str(base), cut, lose_unsynced)
+            try:
+                with points.armed():
+                    save(new, str(base))
+                finished = True
+            except Crash:
+                finished = False
+            points.settle()
+            got = read_files(base, names)
+            for name in names:
+                assert got[name] in (expected["old"][name], expected["new"][name]), \
+                    (lose_unsynced, cut, name)
+            if finished:
+                assert got == expected["new"], (lose_unsynced, cut)
+                break
+            cut += 1

@@ -184,6 +184,45 @@ def test_session_splits_large_fingerprint_lists(pair):
     assert session.request_count == 11
 
 
+def announced_cap(service: KeyManagerService) -> int:
+    r = wire.Reader(service.handle_frame(wire.MSG_MANAGER_PUBKEY, b"", "c"))
+    r.bytes_u32(), r.bytes_u32()
+    return r.u32()
+
+
+def test_announced_cap_is_the_smaller_of_cap_and_bucket(pair):
+    for batch_cap, rate_capacity in ((256, 100), (4, 100), (5, 5)):
+        service = KeyManagerService(pair, rate_capacity=rate_capacity, batch_cap=batch_cap)
+        assert announced_cap(service) == min(batch_cap, rate_capacity)
+
+
+def test_session_batches_fit_the_bucket(pair):
+    # a batch over the bucket's capacity would be refused however long it waited
+    clock = FakeClock()
+    service = KeyManagerService(pair, rate_capacity=100, rate_refill=1.0, clock=clock)
+    sizes = []
+    sign_batch = service.sign_batch
+
+    def spy(values, client_id):
+        sizes.append(len(values))
+        signed = sign_batch(values, client_id)
+        clock.now += 100.0  # the bucket is full again for the next batch
+        return signed
+
+    service.sign_batch = spy
+    fps = [os.urandom(32) for _ in range(150)]
+    keys = KeySession(LocalBackend(service)).keys_for_fingerprints(fps)
+    assert keys == [direct_key(pair, fp) for fp in fps]
+    assert sizes == [100, 50]
+
+
+@pytest.mark.parametrize("name", ["batch_cap", "rate_capacity"])
+def test_manager_refuses_a_cap_or_capacity_below_one(pair, name):
+    with pytest.raises(ValueError) as info:
+        KeyManagerService(pair, **{name: 0})
+    assert str(info.value) == f"{name} must be at least 1, not 0"
+
+
 # -- key cache ----------------------------------------------------------------------
 
 

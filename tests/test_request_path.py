@@ -128,7 +128,7 @@ def test_text_fields_reject_non_utf8():
     recipe = Recipe(file_id="00" * 32, pathname="x", size=0, scheme=0,
                     keying="chunk", state_version=0).encode()
     bad = recipe.replace(wire.prefixed(b"x"), wire.prefixed(b"\xff"))
-    with pytest.raises(InvalidOperand):
+    with pytest.raises(IntegrityViolation, match="not valid UTF-8"):
         Recipe.decode(bad)
 
 
@@ -226,7 +226,7 @@ def test_recipe_entries_keep_their_layout():
     assert blob.endswith(region)
     assert Recipe.decode(bytearray(blob)) == recipe
     for cut in (1, 40):  # a torn entry, and one entry fewer than the count
-        with pytest.raises(InvalidOperand, match="truncated"):
+        with pytest.raises(IntegrityViolation, match="truncated"):
             Recipe.decode(blob[:-cut])
 
 
