@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric import rsa
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from . import caont, wire
 from .chunking import (Chunk, ChunkingParams, Segment, SegmentationParams,
@@ -55,7 +55,9 @@ class Connection:
     def request(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         """One exchange. A failed one (a timeout, a reset, an oversized
         reply) leaves the stream out of step, so it closes the socket and
-        every later request raises TransportError."""
+        every later request raises TransportError. A payload over the frame
+        limit is refused before it is sent, and the connection stays open."""
+        wire.check_request_size(payload)
         with self._lock:
             try:
                 wire.write_frame(self._sock, msg_type, payload)
@@ -141,7 +143,7 @@ class ClientIdentity:
     """A user's long-lived keys; private halves never leave the machine."""
 
     user_id: str
-    access_key: rsa.RSAPrivateKey
+    access_key: X25519PrivateKey
     derivation: DerivationKeyPair
 
     @classmethod
@@ -172,8 +174,12 @@ class ClientIdentity:
         if "p" not in fields or "q" not in fields:
             raise ValueError(f"{meta_path} has no primes p and q: it was written before "
                              f"identities kept them, and this build does not load it")
-        with open(os.path.join(directory, "access_key.pem"), "rb") as fh:
+        key_path = os.path.join(directory, "access_key.pem")
+        with open(key_path, "rb") as fh:
             key = serialization.load_pem_private_key(fh.read(), password=None)
+        if not isinstance(key, X25519PrivateKey):
+            raise ValueError(f"{key_path} holds no X25519 private key: it predates X25519 "
+                             f"access keys, and this build does not load it")
         deriv = DerivationKeyPair(n=int(fields["n"], 16), e=fields["e"],
                                   d=int(fields["d"], 16), p=int(fields["p"], 16),
                                   q=int(fields["q"], 16))
@@ -348,7 +354,8 @@ def store_file(chunk_blocks: Iterable[tuple[list[Chunk], bool]], path: str, *,
                seg_params: SegmentationParams) -> str:
     """Store a file given as chunk blocks, each flagged whether it is the last,
     and commit it at version 0; returns its file id. Every file is stored
-    through here, and nothing is sent before the arguments and policy pass."""
+    through here, and nothing is sent before the arguments pass and the new
+    state is wrapped to the policy."""
     if scheme not in caont.SCHEME_NAMES:
         raise ValueError(f"unknown scheme id {scheme}")
     if keying not in KEYINGS:
@@ -357,8 +364,9 @@ def store_file(chunk_blocks: Iterable[tuple[list[Chunk], bool]], path: str, *,
         raise SchemeNotAllowed(
             "the basic scheme is refused under segment keying: one shared mask "
             "key leaks chunk XORs; use the enhanced scheme or per-chunk keying")
-    # refused here, before any package is sent
-    directory = rekeying.resolve_policy(store, policy)
+    # refused here, before any package is sent; the wrap needs no package
+    state = new_state(identity.user_id, identity.derivation)
+    wrapped = wrap_state(state, rekeying.resolve_policy(store, policy))
 
     file_id = file_id_for(identity.user_id, path)
     entries: list = []
@@ -376,9 +384,7 @@ def store_file(chunk_blocks: Iterable[tuple[list[Chunk], bool]], path: str, *,
     for batch in _batches(packages(), lambda item: len(item[1])):
         store.put_packages(batch)
 
-    state = new_state(identity.user_id, identity.derivation)
     stub_blob = caont.encrypt_stub_file(stubs, derive_file_key(state))
-    wrapped = wrap_state(state, directory)
     recipe = Recipe(file_id=file_id, pathname=path,
                     size=sum(length for _, length, _ in entries), scheme=scheme,
                     keying=keying, state_version=state.version, entries=entries)

@@ -44,8 +44,12 @@ DEFAULTS = {
 
 
 def parse_address(text: str) -> tuple[str, int]:
+    """(host, port) of ``host:port`` or ``[host]:port``, the form of an IPv6
+    literal, whose brackets are stripped; the port is ASCII digits only."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    if not host or "[" in host or "]" in host or not (port.isascii() and port.isdigit()):
         raise ValueError(f"expected host:port, got {text!r}")
     if int(port) > 65535:
         raise ValueError(f"port out of range 0-65535, got {text!r}")

@@ -56,7 +56,7 @@ class AccessDenied(ReedError):
 
 
 class UnknownUser(ReedError):
-    """A policy member has no registered public access key."""
+    """A policy member has no registered public access key a wrap can use."""
 
 
 class PolicyEmpty(ReedError):

@@ -8,10 +8,11 @@ the file key of any earlier stub file by unwinding, while no amount of
 unwinding produces a future state.
 
 Access control wraps the state once per authorized user: a fresh content
-key encrypts the serialized state, and that content key is encapsulated
-under each policy member's public access key. Any listed user can unwrap
-with constant work; absent users have no entry at all. Revocation is a new
-wrap that omits them.
+key encrypts the serialized state, and that content key is sealed for each
+policy member under a key agreed by X25519 between one ephemeral key per
+wrap and the member's public access key (a DHKEM as in RFC 9180). Any
+listed user can unwrap with one exchange; absent users have no entry at
+all. Revocation is a new wrap that omits them.
 """
 
 from __future__ import annotations
@@ -26,16 +27,16 @@ from typing import Iterable, Mapping
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding, rsa
+from cryptography.hazmat.primitives.asymmetric.x25519 import (X25519PrivateKey,
+                                                              X25519PublicKey)
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from . import caont
 from .errors import (AccessDenied, AtInitialState, NotFound, NotOwner,
                      PolicyEmpty, UnknownUser)
 from .keygen import RSAKeyPair
 from .wire import Reader
-
-ACCESS_KEY_BITS = 2048
 
 LAZY = "lazy"
 ACTIVE = "active"
@@ -139,30 +140,26 @@ def _decode_state(blob: bytes) -> KeyState:
 # -- access keys and policy wraps -------------------------------------------------
 
 
-def generate_access_keypair(bits: int = ACCESS_KEY_BITS) -> rsa.RSAPrivateKey:
-    return rsa.generate_private_key(public_exponent=65537, key_size=bits)
+def generate_access_keypair() -> X25519PrivateKey:
+    return X25519PrivateKey.generate()
 
 
-def access_public_pem(private_key: rsa.RSAPrivateKey) -> bytes:
+def access_public_pem(private_key: X25519PrivateKey) -> bytes:
     return private_key.public_key().public_bytes(
         serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo)
 
 
-def load_access_public(pem: bytes) -> rsa.RSAPublicKey:
+def load_access_public(pem: bytes) -> X25519PublicKey:
     key = serialization.load_pem_public_key(pem)
-    if not isinstance(key, rsa.RSAPublicKey):
-        raise ValueError("expected an RSA public key")
+    if not isinstance(key, X25519PublicKey):
+        raise ValueError("expected an X25519 public key")
     return key
 
 
-_OAEP = padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
-                     algorithm=hashes.SHA256(), label=None)
-
-
-def resolve_policy(store, policy: Iterable[str]) -> dict[str, rsa.RSAPublicKey]:
+def resolve_policy(store, policy: Iterable[str]) -> dict[str, X25519PublicKey]:
     """Each member's registered public access key, keyed by member in sorted
     order; PolicyEmpty if the policy names nobody, UnknownUser if a member
-    has no registered key."""
+    has no registered key or one that is not an X25519 public key."""
     members = sorted(set(policy))
     if not members:
         raise PolicyEmpty("policy must authorize at least one user")
@@ -172,27 +169,56 @@ def resolve_policy(store, policy: Iterable[str]) -> dict[str, rsa.RSAPublicKey]:
             directory[uid] = load_access_public(store.get_user_key(uid))
         except NotFound:
             raise UnknownUser(f"no registered public access key for {uid!r}") from None
+        except ValueError:
+            raise UnknownUser(
+                f"the registered access key of {uid!r} is not an X25519 public key: "
+                f"it predates X25519 access keys, and this build does not wrap to it"
+            ) from None
     return directory
 
 
-def wrap_state(state: KeyState, directory: Mapping[str, rsa.RSAPublicKey]) -> bytes:
+_WRAP_INFO = b"reed wrap v1"
+EPK_SIZE = 32
+_ENTRY_NONCE = bytes(caont.GCM_NONCE_SIZE)  # each KEK seals exactly one entry
+
+
+def _kek(shared: bytes, epk: bytes, member_pk: bytes) -> bytes:
+    """The key that seals one member's entry, bound to both public keys."""
+    return HKDF(algorithm=hashes.SHA256(), length=32, salt=None,
+                info=_WRAP_INFO + epk + member_pk).derive(shared)
+
+
+def wrap_state(state: KeyState, directory: Mapping[str, X25519PublicKey]) -> bytes:
     """Wrap a state under an any-of policy: every member of directory, in
     its order (resolve_policy's is sorted), with their public access key.
 
-    Layout: version(4) || user count(4) || per user (id, encapsulation,
-    each length-prefixed) || nonce || state ciphertext || tag. The header is
-    bound to the ciphertext as authenticated data, so any tampering fails
-    the unwrap. An empty directory is refused, since nobody could unwrap.
+    Layout: version(4) || user count(4) || epk(32) || per user (id, entry,
+    each length-prefixed) || nonce || state ciphertext || tag. epk is the
+    public half of one fresh X25519 key per wrap. A member's entry is the
+    content key sealed by AES-256-GCM (48 bytes) under HKDF-SHA256 of the
+    exchange of that key with the member's, with the zero nonce and the
+    member's id as associated data. The header is bound to the ciphertext
+    as associated data, so any tampering fails the unwrap. An empty
+    directory is refused, since nobody could unwrap, and so is a member
+    key the exchange refuses (a low-order point), naming the member.
     """
     if not directory:
         raise PolicyEmpty("policy must authorize at least one user")
     content_key = secrets.token_bytes(32)
-    header = [struct.pack(">I", state.version), struct.pack(">I", len(directory))]
+    eph = X25519PrivateKey.generate()
+    epk = eph.public_key().public_bytes_raw()
+    header = [struct.pack(">II", state.version, len(directory)), epk]
     for user, pub in directory.items():
         uid = user.encode("utf-8")
-        enc = pub.encrypt(content_key, _OAEP)
+        try:
+            shared = eph.exchange(pub)
+        except ValueError:
+            raise UnknownUser(f"the access key of {user!r} cannot be wrapped to: "
+                              f"the X25519 exchange with it fails") from None
+        kek = _kek(shared, epk, pub.public_bytes_raw())
+        entry = AESGCM(kek).encrypt(_ENTRY_NONCE, content_key, uid)
         header.append(struct.pack(">I", len(uid)) + uid)
-        header.append(struct.pack(">I", len(enc)) + enc)
+        header.append(struct.pack(">I", len(entry)) + entry)
     header_bytes = b"".join(header)
     nonce = os.urandom(caont.GCM_NONCE_SIZE)
     ct = AESGCM(content_key).encrypt(nonce, _encode_state(state), header_bytes)
@@ -203,43 +229,46 @@ def _parse_wrap(blob: bytes):
     r = Reader(blob)
     version = r.u32()
     count = r.u32()
+    epk = r.take(EPK_SIZE)
     entries = []
     for _ in range(count):
         uid = r.text()
-        enc = r.bytes_u32()
-        entries.append((uid, enc))
-    return version, entries, r
+        entry = r.bytes_u32()
+        entries.append((uid, entry))
+    return version, epk, entries, r
 
 
 def wrapped_policy(blob: bytes) -> list[str]:
     """Plaintext policy membership recorded in a wrap (audit surface)."""
-    _, entries, _ = _parse_wrap(blob)
+    _, _, entries, _ = _parse_wrap(blob)
     return [uid for uid, _ in entries]
 
 
 def wrapped_version(blob: bytes) -> int:
-    version, _, _ = _parse_wrap(blob)
-    return version
+    return _parse_wrap(blob)[0]
 
 
-def unwrap_state(blob: bytes, private_key: rsa.RSAPrivateKey, user_id: str) -> KeyState:
-    """Recover the state; AccessDenied if the user has no entry or on tamper."""
+def unwrap_state(blob: bytes, private_key: X25519PrivateKey, user_id: str) -> KeyState:
+    """Recover the state with one exchange; AccessDenied if the user has no
+    entry, on a wrong key, on tamper, or on a wrap of any other layout."""
     try:
-        version, entries, r = _parse_wrap(blob)
+        version, epk, entries, r = _parse_wrap(blob)
         header_bytes = blob[:r.pos]
         nonce = r.take(caont.GCM_NONCE_SIZE)
         ct = r.rest()
     except Exception as exc:
         raise AccessDenied("malformed wrapped key state") from exc
-    encapsulation = None
-    for uid, enc in entries:
+    entry = None
+    for uid, sealed in entries:
         if uid == user_id:
-            encapsulation = enc
+            entry = sealed
             break
-    if encapsulation is None:
+    if entry is None:
         raise AccessDenied(f"{user_id!r} is not in this file's policy")
     try:
-        content_key = private_key.decrypt(encapsulation, _OAEP)
+        shared = private_key.exchange(X25519PublicKey.from_public_bytes(epk))
+        kek = _kek(shared, epk, private_key.public_key().public_bytes_raw())
+        content_key = AESGCM(kek).decrypt(_ENTRY_NONCE, entry, user_id.encode("utf-8"))
         plain = AESGCM(content_key).decrypt(nonce, ct, header_bytes)
     except (ValueError, InvalidTag) as exc:
         raise AccessDenied("unwrap failed: wrong key or tampered wrap") from exc
@@ -253,7 +282,7 @@ def unwrap_state(blob: bytes, private_key: rsa.RSAPrivateKey, user_id: str) -> K
 
 
 def rekey(store, *, file_id: str, new_policy: Iterable[str], mode: str,
-          user_id: str, access_private_key: rsa.RSAPrivateKey,
+          user_id: str, access_private_key: X25519PrivateKey,
           derivation: DerivationKeyPair | None) -> int:
     """Advance a file's key state and re-wrap it under a new policy.
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import socket
 import socketserver
 import struct
 import threading
@@ -530,18 +531,24 @@ class _ThreadingServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
+class _ThreadingServer6(_ThreadingServer):
+    address_family = socket.AF_INET6
+
+
 class FrameServer:
-    """TCP front for any service exposing handle_frame()."""
+    """TCP front for any service exposing handle_frame(); a host with a
+    ``:`` in it is an IPv6 address."""
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0):
         self.service = service
-        self._server = _ThreadingServer((host, port), _FrameHandler)
+        server_cls = _ThreadingServer6 if ":" in host else _ThreadingServer
+        self._server = server_cls((host, port), _FrameHandler)
         self._server.service = service
         self._thread: threading.Thread | None = None
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address
+        return self._server.server_address[:2]  # an IPv6 one has four fields
 
     def start(self) -> "FrameServer":
         self._thread = threading.Thread(target=self._server.serve_forever,

@@ -133,6 +133,14 @@ def _recv_exact(sock: socket.socket, n: int) -> bytearray:
     return buf
 
 
+def check_request_size(payload: bytes) -> None:
+    """InvalidOperand for a request the receiver would refuse as too large,
+    raised before any of it is sent, so a connection stays in step."""
+    if len(payload) > MAX_FRAME:
+        raise errors.InvalidOperand(f"request of {len(payload)} bytes exceeds the frame "
+                                    f"limit of {MAX_FRAME} bytes")
+
+
 def read_frame(sock: socket.socket) -> tuple[int, bytearray]:
     """Receive one frame; the payload is a fresh buffer owned by the caller."""
     length, msg_type = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
@@ -154,6 +162,7 @@ class LocalBackend:
         self._client_id = client_id
 
     def request(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
+        check_request_size(payload)
         return respond(self._service, msg_type, payload, self._client_id)
 
 

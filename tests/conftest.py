@@ -76,7 +76,7 @@ def manager_keypair():
 
 @pytest.fixture(scope="session")
 def identities():
-    # RSA access keys are the slow part; share one set across the session.
+    # RSA derivation pairs are the slow part; share one set across the session.
     return {name: ClientIdentity.create(name) for name in ("alice", "bob", "carol")}
 
 

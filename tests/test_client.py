@@ -9,6 +9,9 @@ import sys
 import warnings
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import rsa
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
 from cryptography.hazmat.primitives.ciphers import Cipher
 
 from conftest import assert_one_stub_record, tree_digest
@@ -16,7 +19,7 @@ from reed import caont, cli, wire
 from reed.chunking import ChunkingParams, SegmentationParams
 from reed.client import (ClientIdentity, Connection, Recipe, StoreSession, download,
                          file_id_for, rekey_file, upload)
-from reed.config import Config, parse_size
+from reed.config import Config, parse_address, parse_size
 from reed.errors import (AccessDenied, AuthenticationFailure, IntegrityViolation,
                          NotFound, NotOwner, PolicyEmpty, SchemeNotAllowed, UnknownUser)
 from reed.keygen import KeyManagerService, KeySession, ManagerKeyPair
@@ -67,6 +70,11 @@ def test_round_trip_builds_no_cipher_object(ready, identities, tmp_path, monkeyp
     fid = upload(path, policy=["alice"], identity=identities["alice"], store=store,
                  keys=keys, scheme=scheme, keying=keying)
     assert download(fid, identity=identities["alice"], store=store) == data
+    # and neither kind of rekey builds one to unwrap, wind or re-wrap the state
+    for version, mode in enumerate(("lazy", "active"), start=1):
+        assert rekey_file(fid, new_policy=["alice", "bob"], mode=mode,
+                          identity=identities["alice"], store=store) == version
+    assert download(fid, identity=identities["bob"], store=store) == data
 
 
 def test_fixed_mode_round_trip(ready, identities, tmp_path):
@@ -383,6 +391,58 @@ def test_uploads_to_fresh_stores_are_byte_identical(tmp_path, manager_keypair,
         finally:
             c.stop()
     assert digests[0] == digests[1]
+
+
+def rsa_pem(private: bool) -> bytes:
+    key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+    if private:
+        return key.private_bytes(serialization.Encoding.PEM,
+                                 serialization.PrivateFormat.PKCS8,
+                                 serialization.NoEncryption())
+    return key.public_key().public_bytes(serialization.Encoding.PEM,
+                                         serialization.PublicFormat.SubjectPublicKeyInfo)
+
+
+def test_cli_refuses_an_rsa_access_key_naming_its_file(ready, tmp_path, capsys):
+    # access_key.pem held an RSA-2048 key before access keys were X25519
+    cfg = make_config(tmp_path, ready, "rsauser")
+    assert cli.main(["--config", cfg, "keygen-register", "--user", "rsauser"]) == 0
+    identity_dir = os.path.join(str(tmp_path), "rsauser-identity")
+    key_path = os.path.join(identity_dir, "access_key.pem")
+    with open(key_path, "wb") as fh:
+        fh.write(rsa_pem(private=True))
+    before = tree_digest(identity_dir)
+    message = f"{key_path} holds no X25519 private key: it predates X25519 access keys"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ClientIdentity.load(identity_dir)
+    capsys.readouterr()
+    out_path = os.path.join(str(tmp_path), "r.bin")
+    assert cli.main(["--config", cfg, "download", "ab" * 32, "-o", out_path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert tree_digest(identity_dir) == before
+    assert not os.path.exists(out_path)
+
+
+@pytest.mark.parametrize("record", ["rsa", "low-order"])
+def test_upload_to_a_member_that_cannot_be_wrapped_to_sends_no_package(
+        ready, identities, tmp_path, monkeypatch, record):
+    if record == "rsa":  # a user key registered before access keys were X25519
+        pem, fault = rsa_pem(private=False), "not an X25519 public key"
+    else:  # a point of low order, with which every exchange fails
+        pem = X25519PublicKey.from_public_bytes(bytes(32)).public_bytes(
+            serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo)
+        fault = "exchange with it fails"
+    store = ready.store_session()
+    store.put_user_key("mallory", pem)
+    sent = []
+    monkeypatch.setattr(StoreSession, "put_packages", lambda self, items: sent.append(items))
+    path = write_file(tmp_path, "f.bin", random.Random(15).randbytes(100_000))
+    with pytest.raises(UnknownUser, match=f"'mallory'.*{fault}"):
+        upload(path, policy=["alice", "mallory"], identity=identities["alice"],
+               store=store, keys=ready.key_session())
+    assert sent == []
+    with pytest.raises(NotFound):
+        store.get_recipe(file_id_for("alice", path))
 
 
 def test_identity_save_load_keeps_primes(identities, tmp_path):
@@ -803,6 +863,21 @@ def test_parse_size_names_the_bad_text_and_the_form(text):
     with pytest.raises(ValueError) as info:
         parse_size(text)
     assert str(info.value) == f"expected a size of the form <bytes>[K|M|G], got {text!r}"
+
+
+@pytest.mark.parametrize("text, address", [("[::1]:9601", ("::1", 9601)),
+                                           ("127.0.0.1:80", ("127.0.0.1", 80)),
+                                           ("store.example:0", ("store.example", 0))])
+def test_parse_address_strips_the_brackets_of_an_ipv6_literal(text, address):
+    assert parse_address(text) == address
+
+
+@pytest.mark.parametrize("text", ["h:\u0668\u0660", "[::1]", "[]:80", "[::1:80", ":80",
+                                  "h:"])
+def test_parse_address_refuses_a_port_of_other_than_ascii_digits(text):
+    # "h:\u0668\u0660" is h with port 80 in Arabic-Indic digits
+    with pytest.raises(ValueError, match="^expected host:port, got "):
+        parse_address(text)
 
 
 @pytest.mark.parametrize("section, key, value, read", [

@@ -4,6 +4,10 @@ import os
 import struct
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import rsa
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,6 +196,97 @@ def test_wrap_size_grows_linearly_with_policy(owner_keys):
 def test_single_user_policy_has_one_encapsulation(owner_keys, directory):
     blob = wrap_state(new_state("alice", owner_keys), members(directory, "alice"))
     assert wrapped_policy(blob) == ["alice"]
+
+
+EPK_AT = 8  # after the version and the member count
+ENTRY_SIZE = 48  # a 32-byte content key sealed by AES-GCM
+
+
+def entry_offsets(blob: bytes) -> dict[str, int]:
+    """Where each member's sealed entry starts, read field by field."""
+    count = struct.unpack_from(">I", blob, 4)[0]
+    at, offsets = EPK_AT + rekeying.EPK_SIZE, {}
+    for _ in range(count):
+        id_len = struct.unpack_from(">I", blob, at)[0]
+        uid = blob[at + 4:at + 4 + id_len].decode()
+        at += 4 + id_len
+        assert struct.unpack_from(">I", blob, at)[0] == ENTRY_SIZE
+        offsets[uid] = at + 4
+        at += 4 + ENTRY_SIZE
+    return offsets
+
+
+def test_a_bit_flip_in_epk_or_an_entry_is_denied(owner_keys, access_keys, directory):
+    blob = wrap_state(new_state("alice", owner_keys), members(directory, "alice", "bob"))
+    offsets = entry_offsets(blob)
+    spans = [range(EPK_AT, EPK_AT + rekeying.EPK_SIZE)]
+    spans += [range(at, at + ENTRY_SIZE) for at in offsets.values()]
+    for span in spans:
+        for pos in span:
+            mod = bytearray(blob)
+            mod[pos] ^= 1 << (pos % 8)
+            for user in ("alice", "bob"):
+                with pytest.raises(AccessDenied):
+                    unwrap_state(bytes(mod), access_keys[user], user)
+
+
+def test_swapped_entries_deny_both_members(owner_keys, access_keys, directory):
+    blob = wrap_state(new_state("alice", owner_keys), members(directory, "alice", "bob"))
+    a, b = entry_offsets(blob)["alice"], entry_offsets(blob)["bob"]
+    mod = bytearray(blob)
+    mod[a:a + ENTRY_SIZE], mod[b:b + ENTRY_SIZE] = blob[b:b + ENTRY_SIZE], blob[a:a + ENTRY_SIZE]
+    assert wrapped_policy(bytes(mod)) == ["alice", "bob"]  # ids kept
+    for user in ("alice", "bob"):
+        with pytest.raises(AccessDenied):
+            unwrap_state(bytes(mod), access_keys[user], user)
+
+
+def test_each_wrap_draws_a_fresh_ephemeral_key(owner_keys, access_keys, directory):
+    state = new_state("alice", owner_keys)
+    one, two = (wrap_state(state, members(directory, "alice")) for _ in range(2))
+    epk = slice(EPK_AT, EPK_AT + rekeying.EPK_SIZE)
+    assert one[epk] != two[epk]
+    assert unwrap_state(one, access_keys["alice"], "alice") == \
+        unwrap_state(two, access_keys["alice"], "alice")
+
+
+def test_each_member_adds_its_id_and_one_sealed_entry(owner_keys, directory):
+    state = new_state("alice", owner_keys)
+    alone = len(wrap_state(state, members(directory, "alice")))
+    for ids in (["b"], ["bo", "carol-with-a-long-id"]):
+        grown = dict(members(directory, "alice"))
+        grown.update({uid: directory["bob"] for uid in ids})
+        assert len(wrap_state(state, grown)) - alone == \
+            sum(4 + len(uid) + 4 + ENTRY_SIZE for uid in ids)
+
+
+def test_a_wrap_in_the_rsa_layout_is_denied(owner_keys, access_keys):
+    # version || count || per user (id, 256-byte RSA-OAEP encapsulation) ||
+    # nonce || state ciphertext, as wraps were before X25519 access keys
+    state = new_state("alice", owner_keys)
+    content_key, nonce = os.urandom(32), os.urandom(caont.GCM_NONCE_SIZE)
+    header = struct.pack(">II", state.version, 1) + wire.prefixed(b"alice") \
+        + wire.prefixed(os.urandom(256))
+    ct = AESGCM(content_key).encrypt(nonce, rekeying._encode_state(state), header)
+    with pytest.raises(AccessDenied):
+        unwrap_state(header + nonce + ct, access_keys["alice"], "alice")
+
+
+def test_a_key_the_exchange_refuses_is_refused_naming_its_member(owner_keys, directory):
+    # the all-zero point has low order: every exchange with it fails
+    low = X25519PublicKey.from_public_bytes(bytes(32))
+    with pytest.raises(UnknownUser, match="'mallory'"):
+        wrap_state(new_state("alice", owner_keys),
+                   {"alice": directory["alice"], "mallory": low})
+
+
+def test_a_registered_rsa_key_is_refused_naming_its_member(store):
+    pem = rsa.generate_private_key(public_exponent=65537, key_size=2048).public_key() \
+        .public_bytes(serialization.Encoding.PEM,
+                      serialization.PublicFormat.SubjectPublicKeyInfo)
+    store.put_user_key("dave", pem)
+    with pytest.raises(UnknownUser, match="'dave'.*not an X25519 public key"):
+        rekeying.resolve_policy(store, ["dave"])
 
 
 # -- decryptability across versions --------------------------------------------------

@@ -19,8 +19,8 @@ import time
 import pytest
 
 from reed import wire
-from reed.client import Connection, Recipe
-from reed.errors import (IntegrityViolation, InvalidOperand, RateLimited,
+from reed.client import Connection, Recipe, StoreSession
+from reed.errors import (IntegrityViolation, InvalidOperand, NotFound, RateLimited,
                          StorageUnavailable, TransportError)
 from reed.keygen import DEFAULT_MODULUS_BITS, KeyManagerService, KeySession
 from reed.server import FrameServer, StorageService
@@ -145,6 +145,21 @@ def test_oversized_frame_is_answered_then_the_connection_closes(manager_keypair)
             assert KeySession(conn).public_key.n == manager_keypair.n
     finally:
         server.stop()
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_a_request_over_the_frame_limit_is_refused_before_it_is_sent(services, transport,
+                                                                      monkeypatch):
+    objects, conns = services
+    backend = wire.LocalBackend(objects["store"]) if transport == "local" else conns["store"]
+    session = StoreSession(backend)
+    monkeypatch.setattr(wire, "MAX_FRAME", 1 << 20)  # a cheap ceiling, same check
+    with pytest.raises(InvalidOperand, match=r"^request of \d+ bytes exceeds the frame "
+                                             r"limit of 1048576 bytes$"):
+        session.put_stub("oversized", 0, bytes(2 << 20))
+    with pytest.raises(NotFound):
+        session.get_stub("oversized")
+    assert session.stats().logical_bytes >= 0  # the connection is still in step
 
 
 class SlowFirstReply:

@@ -855,6 +855,19 @@ def test_wire_round_trip_over_tcp(tmp_path):
         svc.close()
 
 
+def test_stats_round_trip_over_ipv6_loopback(tmp_path):
+    svc = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
+    server = FrameServer(svc, "::1", 0).start()
+    try:
+        host, port = server.address
+        assert host == "::1"
+        with Connection("::1", port) as conn:
+            assert StoreSession(conn).stats().logical_bytes == 0
+    finally:
+        server.stop()
+        svc.close()
+
+
 @pytest.mark.parametrize("size", [0, 1, 8 << 20])
 def test_frame_round_trip_over_socketpair(size):
     payload = random.Random(size).randbytes(size)
