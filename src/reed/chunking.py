@@ -38,26 +38,27 @@ class Chunk:
 
 @dataclass(frozen=True)
 class ChunkingParams:
+    """Fixed mode cuts every avg_size bytes; Rabin chunks average avg_size
+    and are bounded by the properties below, so clients agree on one size."""
+
     mode: str = "rabin"  # "fixed" | "rabin"
-    fixed_size: int = 8192
-    min_size: int = 2048
     avg_size: int = 8192
-    max_size: int = 16384
 
     def __post_init__(self):
         if self.mode not in ("fixed", "rabin"):
             raise ValueError(f"unknown chunking mode {self.mode!r}")
-        if self.fixed_size < 1:
-            raise ValueError("fixed_size must be >= 1")
-        if not (1 <= self.min_size <= self.avg_size <= self.max_size):
-            raise ValueError("need 1 <= min_size <= avg_size <= max_size")
+        if self.avg_size < 1:
+            raise ValueError("avg_size must be >= 1")
         if self.mode == "rabin" and self.min_size < ROLLING_WINDOW:
-            raise ValueError("min_size must be at least the rolling window")
+            raise ValueError(f"avg_size must be at least {4 * ROLLING_WINDOW} under rabin")
 
     @property
-    def expected_size(self) -> int:
-        """The mean chunk size segmentation plans for."""
-        return self.avg_size if self.mode == "rabin" else self.fixed_size
+    def min_size(self) -> int:
+        return self.avg_size // 4
+
+    @property
+    def max_size(self) -> int:
+        return 2 * self.avg_size
 
     @property
     def boundary_mask(self) -> int:
@@ -188,12 +189,13 @@ def rabin_chunk(data: bytes, params: ChunkingParams) -> list[Chunk]:
         return []
     candidates = _boundary_candidates(data, ROLLING_WINDOW,
                                       params.boundary_mask).tolist()
+    min_size, max_size = params.min_size, params.max_size
     view = memoryview(data)
     chunks = []
     start = j = 0
     while start < n:
-        lo = start + params.min_size
-        hi = min(start + params.max_size, n)
+        lo = start + min_size
+        hi = min(start + max_size, n)
         while j < len(candidates) and candidates[j] < lo:
             j += 1
         # candidates never pass n, so a cut at hi == n is the end of data
@@ -205,7 +207,7 @@ def rabin_chunk(data: bytes, params: ChunkingParams) -> list[Chunk]:
 
 def chunk_stream(data: bytes, params: ChunkingParams) -> list[Chunk]:
     if params.mode == "fixed":
-        return fixed_chunk(data, params.fixed_size)
+        return fixed_chunk(data, params.avg_size)
     return rabin_chunk(data, params)
 
 

@@ -27,12 +27,12 @@ from .chunking import (Chunk, ChunkingParams, Segment, SegmentationParams,
                        chunk_stream, fingerprint, segment)
 from .errors import (IntegrityViolation, InvalidOperand, SchemeNotAllowed,
                      TransportError)
-from .keygen import KeySession, write_private
+from .keygen import KeySession
 from .rekeying import (DerivationKeyPair, access_public_pem, derive_file_key,
                        generate_access_keypair, new_state, unwind_to, unwrap_state,
                        wrap_state)
 from . import rekeying
-from .server import ServerStats, _make_dirs
+from .server import MAX_BLOB_ID, ServerStats, _atomic_write, _make_dirs
 
 KEYING_CHUNK = "chunk"
 KEYING_SIMILARITY = "similarity"
@@ -148,6 +148,9 @@ class ClientIdentity:
 
     @classmethod
     def create(cls, user_id: str) -> "ClientIdentity":
+        """New keys for user_id, which the server's key record is named by."""
+        if not 0 < len(user_id.encode("utf-8")) <= MAX_BLOB_ID:
+            raise ValueError(f"user id {user_id!r} must be 1 to {MAX_BLOB_ID} UTF-8 bytes")
         return cls(user_id=user_id,
                    access_key=generate_access_keypair(),
                    derivation=DerivationKeyPair.generate())
@@ -157,13 +160,13 @@ class ClientIdentity:
         pem = self.access_key.private_bytes(
             serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
             serialization.NoEncryption())
-        write_private(os.path.join(directory, "access_key.pem"), pem)
+        _atomic_write(os.path.join(directory, "access_key.pem"), pem, mode=0o600)
         deriv = self.derivation
         meta = {"user_id": self.user_id,
                 "derivation": {"n": hex(deriv.n), "e": deriv.e, "d": hex(deriv.d),
                                "p": hex(deriv.p), "q": hex(deriv.q)}}
-        write_private(os.path.join(directory, "identity.json"),
-                      json.dumps(meta).encode("utf-8"))
+        _atomic_write(os.path.join(directory, "identity.json"),
+                      json.dumps(meta).encode("utf-8"), mode=0o600)
 
     @classmethod
     def load(cls, directory: str) -> "ClientIdentity":
@@ -402,8 +405,7 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
            seg_params: SegmentationParams | None = None) -> str:
     """Store the file at path, read one block at a time; returns the file id."""
     chunk_params = chunk_params or ChunkingParams()
-    seg_params = seg_params or SegmentationParams(
-        avg_chunk_size=chunk_params.expected_size)
+    seg_params = seg_params or SegmentationParams(avg_chunk_size=chunk_params.avg_size)
     with open(path, "rb") as fh:
         return store_file(_chunk_blocks(_read_blocks(fh), chunk_params), path,
                           policy=policy, identity=identity, store=store, keys=keys,

@@ -3,7 +3,7 @@
 Documented keys (all optional):
 
     [client]  server, manager, identity_dir, scheme, keying
-    [chunk]   mode, fixed_size, min_size, avg_size, max_size
+    [chunk]   mode, avg_size
     [segment] avg_size
     [server]  listen, data_root, key_root, container_size
     [manager] listen, key_file, rate_capacity, rate_refill, batch_cap
@@ -11,7 +11,9 @@ Documented keys (all optional):
 Addresses and paths default to DEFAULTS below. Any other key a file leaves
 unset is not passed on, so the default of the code it configures holds.
 Sizes take the form <bytes>[K|M|G] (see parse_size), and a value its key
-cannot take raises ValueError naming the ``[section] key``.
+cannot take raises ValueError naming the ``[section] key``. Fixed chunking
+cuts at avg_size; the former chunk keys fixed_size, min_size and max_size
+are refused by name.
 
 Only ``serve-manager`` reads [manager]; a client learns the batch cap from
 the manager's public-key reply.
@@ -112,11 +114,15 @@ class Config:
 
     @property
     def chunk_params(self) -> ChunkingParams:
-        return ChunkingParams(**self.options(
-            "chunk", mode=str, fixed_size=parse_size, min_size=parse_size,
-            avg_size=parse_size, max_size=parse_size))
+        """[chunk] mode and avg_size. A removed key is refused by name, since
+        ignoring it would change the cut points against stored data."""
+        for key in ("fixed_size", "min_size", "max_size"):
+            if self.parser.has_option("chunk", key):
+                raise ValueError(f"[chunk] {key} was removed: fixed mode cuts at avg_size, "
+                                 "and rabin chunks are avg_size/4 to 2*avg_size")
+        return ChunkingParams(**self.options("chunk", mode=str, avg_size=parse_size))
 
     def segment_params(self, chunk: ChunkingParams) -> SegmentationParams:
         """Segmentation planned for the chunking actually used."""
-        return SegmentationParams(avg_chunk_size=chunk.expected_size,
+        return SegmentationParams(avg_chunk_size=chunk.avg_size,
                                   **self.options("segment", avg_size=parse_size))

@@ -31,7 +31,7 @@ from . import wire
 from .errors import (InvalidOperand, PrivateKeyFault, RateLimited, SignatureInvalid,
                      TransportError, ZeroFingerprint)
 from .libcrypto import mod_exp
-from .server import _fsync_dir
+from .server import _atomic_write
 
 DEFAULT_MODULUS_BITS = 1024
 DEFAULT_RATE_CAPACITY = 10_000
@@ -40,25 +40,6 @@ DEFAULT_BATCH_CAP = 256
 # About 3.3 MiB when full: a 32-byte fingerprint, a 32-byte key and the
 # ordered-dict entry that links them.
 KEY_CACHE_ENTRIES = 16_384
-
-
-def write_private(path: str, data: bytes) -> None:
-    """Replace path with secret key material readable by its owner only.
-
-    The data goes to a temporary file of mode 0600 (a leftover one loses
-    any wider mode first), which is fsynced and renamed over path before
-    the directory is fsynced. So path holds its old content or the new,
-    whole, and the new content is durable once this returns.
-    """
-    tmp = path + ".tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    with open(fd, "wb") as fh:
-        os.fchmod(fd, 0o600)
-        fh.write(data)
-        fh.flush()
-        os.fsync(fd)
-    os.replace(tmp, path)
-    _fsync_dir(os.path.dirname(os.path.abspath(path)))
 
 
 @dataclass(frozen=True)
@@ -108,8 +89,8 @@ class RSAKeyPair:
         object.__setattr__(self, "qinv", pow(self.q, -1, self.p))
 
     @classmethod
-    def generate(cls, bits: int = DEFAULT_MODULUS_BITS):
-        key = rsa.generate_private_key(public_exponent=65537, key_size=bits)
+    def generate(cls):
+        key = rsa.generate_private_key(public_exponent=65537, key_size=DEFAULT_MODULUS_BITS)
         return cls.from_private_numbers(key.private_numbers())
 
     @classmethod
@@ -145,7 +126,7 @@ class ManagerKeyPair(RSAKeyPair):
             serialization.PrivateFormat.PKCS8,
             serialization.NoEncryption(),
         )
-        write_private(path, pem)
+        _atomic_write(path, pem, mode=0o600)
 
     @classmethod
     def load_pem(cls, path: str) -> "ManagerKeyPair":
@@ -154,10 +135,10 @@ class ManagerKeyPair(RSAKeyPair):
         return cls.from_private_numbers(key.private_numbers())
 
     @classmethod
-    def load_or_create(cls, path: str, bits: int = DEFAULT_MODULUS_BITS) -> "ManagerKeyPair":
+    def load_or_create(cls, path: str) -> "ManagerKeyPair":
         if os.path.exists(path):
             return cls.load_pem(path)
-        pair = cls.generate(bits)
+        pair = cls.generate()
         pair.save_pem(path)
         return pair
 

@@ -159,10 +159,12 @@ def load_access_public(pem: bytes) -> X25519PublicKey:
 def resolve_policy(store, policy: Iterable[str]) -> dict[str, X25519PublicKey]:
     """Each member's registered public access key, keyed by member in sorted
     order; PolicyEmpty if the policy names nobody, UnknownUser if a member
-    has no registered key or one that is not an X25519 public key."""
+    is empty or has no registered key or one that is not an X25519 public key."""
     members = sorted(set(policy))
     if not members:
         raise PolicyEmpty("policy must authorize at least one user")
+    if "" in members:
+        raise UnknownUser("the policy names an empty user id")
     directory = {}
     for uid in members:
         try:

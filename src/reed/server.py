@@ -241,16 +241,21 @@ class ContainerStore:
             self._fh = None
 
 
-def _atomic_write(path: str, *parts) -> None:
-    """Replace path with the byte buffers parts, written one after another
-    and fsynced before the rename."""
+def _atomic_write(path: str, *parts, mode: int = 0o666) -> None:
+    """Replace path with the byte buffers parts, written one after another:
+    fsync <path>.tmp, rename it over path, fsync the directory. A new file
+    takes mode less the umask; a leftover temporary file is removed first,
+    so that none keeps a wider mode."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(tmp)
+    with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as fh:
         for part in parts:
             fh.write(part)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    _fsync_dir(os.path.dirname(os.path.abspath(path)))
 
 
 def _fsync_dir(path: str) -> None:
@@ -339,7 +344,6 @@ class BlobStore:
                 return
             _atomic_write(path, _VERSION.pack(version), blob)
             self._sizes[kind] = self._sizes.get(kind, 0) + len(blob) - old_size
-            _fsync_dir(os.path.dirname(path))
 
     def get(self, kind: str, obj_id: str) -> tuple[int, bytes]:
         try:
@@ -450,8 +454,14 @@ class StorageService:
             return len(records)
 
     def get_packages(self, fps: list[bytes]) -> list[bytes]:
+        """The packages of fps in order. A request whose reply would exceed
+        the frame limit is refused before any package is read."""
         with self._lock:
             spans = [self.index.get(fp) for fp in fps]
+        size = 4 + sum(4 + length for _, _, length in spans)
+        if size > wire.MAX_FRAME:
+            raise InvalidOperand(f"reply of {size} bytes would exceed the frame limit "
+                                 f"of {wire.MAX_FRAME} bytes")
         return self.containers.read(spans)
 
     def stats(self) -> ServerStats:

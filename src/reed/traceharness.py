@@ -22,15 +22,12 @@ from typing import Iterable
 
 from . import caont
 from .chunking import Chunk, SegmentationParams
-from .client import (KEYING_CHUNK, KEYING_SIMILARITY, ClientIdentity, StoreSession,
-                     register_identity, store_file)
+from .client import ClientIdentity, StoreSession, register_identity, store_file
 from .errors import TraceParseError
 from .keygen import KeyManagerService, KeySession, ManagerKeyPair
 from .server import ServerStats, StorageService
 from .wire import LocalBackend
 
-MODE_CHUNK = KEYING_CHUNK
-MODE_SIMILARITY = KEYING_SIMILARITY
 MAX_RECORD_SIZE = 65536
 
 

@@ -22,14 +22,13 @@ from conftest import tree_digest
 from reed import caont
 from reed.chunking import (ChunkingParams, SegmentationParams, chunk_stream,
                            fingerprint, segment)
-from reed.client import download, rekey_file, upload
+from reed.client import KEYING_CHUNK, KEYING_SIMILARITY, download, rekey_file, upload
 from reed.errors import (AccessDenied, AtInitialState, AuthenticationFailure,
                          IntegrityViolation)
 from reed.keygen import KeyManagerService, KeySession, blind, unblind
 from reed.rekeying import (DerivationKeyPair, derive_file_key, new_state,
                            unwind, unwind_to, unwrap_state, wind)
-from reed.traceharness import (MODE_CHUNK, MODE_SIMILARITY, TraceRecord,
-                               generate_trace, replay, synthesize_chunk)
+from reed.traceharness import TraceRecord, generate_trace, replay, synthesize_chunk
 from reed.wire import LocalBackend
 
 
@@ -173,7 +172,7 @@ def test_criterion_06_active_rekey_preserves_dedup(cluster, identities, tmp_path
     store = cluster.store_session()
     fid = upload(path, policy=["alice", "bob"], identity=identities["alice"],
                  store=store, keys=cluster.key_session(),
-                 chunk_params=ChunkingParams(mode="fixed", fixed_size=8192))
+                 chunk_params=ChunkingParams(mode="fixed", avg_size=8192))
     _, wrapped = store.get_state(fid)
     old_state = unwrap_state(wrapped, identities["alice"].access_key, "alice")
     old_file_key = derive_file_key(old_state)
@@ -248,7 +247,7 @@ def brute_force_physical(snapshots, mode: str, params: SegmentationParams) -> in
     for snap in snapshots:
         chunks = [synthesize_chunk(r.fp_hex, r.size) for r in snap]
         fps = [hashlib.sha256(c).digest() for c in chunks]
-        if mode == MODE_CHUNK:
+        if mode == KEYING_CHUNK:
             key_ids = fps
         else:
             key_ids = []
@@ -285,18 +284,18 @@ def test_criterion_08_extreme_binning_dedup_law():
           and digest_of(fp) > digest_of(d)][0]
 
     snap = [TraceRecord(x, size) for x in [a, b, c, t1, d, e, f, t2, a, b, c, d]]
-    rep = replay([snap], MODE_SIMILARITY, avg_segment_size=4 * size,
+    rep = replay([snap], KEYING_SIMILARITY, avg_segment_size=4 * size,
                  avg_chunk_size=size)
     assert rep.key_requests == 3  # segments keyed A, D, A
     assert rep.totals.physical_bytes == 9 * size  # A, B, C once; D twice
-    assert rep.totals.physical_bytes == brute_force_physical([snap], MODE_SIMILARITY,
+    assert rep.totals.physical_bytes == brute_force_physical([snap], KEYING_SIMILARITY,
                                                              params)
 
     # oracle equivalence over a generated trace of at most 1,000 chunks
     trace = generate_trace(seed=0x5EED08, snapshots=4, chunks_per_snapshot=120,
                            mutation_rate=0.3)
     assert sum(len(s) for s in trace) <= 1000
-    for mode in (MODE_CHUNK, MODE_SIMILARITY):
+    for mode in (KEYING_CHUNK, KEYING_SIMILARITY):
         got = replay(trace, mode, avg_segment_size=32768, avg_chunk_size=8192)
         want = brute_force_physical(trace, mode,
                                     SegmentationParams(avg_size=32768,
@@ -308,7 +307,7 @@ def test_criterion_08_extreme_binning_dedup_law():
 def test_criterion_09_exact_duplicate_snapshot():
     snap = generate_trace(seed=0x5EED09, snapshots=1, chunks_per_snapshot=150,
                           mutation_rate=0.0)[0]
-    rep = replay([snap, snap], MODE_SIMILARITY, avg_segment_size=131072,
+    rep = replay([snap, snap], KEYING_SIMILARITY, avg_segment_size=131072,
                  avg_chunk_size=8192)
     first, second = rep.rows
     assert second.physical_bytes - first.physical_bytes == 0
@@ -320,8 +319,8 @@ def test_criterion_10_mode_comparison_ordering():
     trace = generate_trace(seed=0x5EED10, snapshots=10, chunks_per_snapshot=600,
                            mutation_rate=0.1)  # 90% inter-snapshot overlap
     params = SegmentationParams()
-    sim = replay(trace, MODE_SIMILARITY)
-    chunk = replay(trace, MODE_CHUNK)
+    sim = replay(trace, KEYING_SIMILARITY)
+    chunk = replay(trace, KEYING_CHUNK)
     assert sim.totals.physical_bytes >= chunk.totals.physical_bytes
     assert sim.totals.stub_bytes == chunk.totals.stub_bytes
     assert chunk.totals.saving > 0.80
@@ -331,9 +330,9 @@ def test_criterion_10_mode_comparison_ordering():
     # changed representative re-encrypts the whole segment. It is held to
     # storing exactly the distinct (content, min-fingerprint key) pairs,
     # in exchange for one key request per segment instead of per chunk.
-    assert sim.totals.physical_bytes == brute_force_physical(trace, MODE_SIMILARITY,
+    assert sim.totals.physical_bytes == brute_force_physical(trace, KEYING_SIMILARITY,
                                                              params)
-    assert chunk.totals.physical_bytes == brute_force_physical(trace, MODE_CHUNK,
+    assert chunk.totals.physical_bytes == brute_force_physical(trace, KEYING_CHUNK,
                                                                params)
     segments = 0
     for snap in trace:

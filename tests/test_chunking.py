@@ -1,10 +1,12 @@
+import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reed.chunking import (Chunk, ChunkingParams, ROLLING_POLY, ROLLING_WINDOW,
-                           SegmentationParams, _boundary_candidates,
+                           SegmentationParams, _boundary_candidates, chunk_stream,
                            fingerprint, fixed_chunk, rabin_chunk, segment)
 
 _M64 = 1 << 64
@@ -208,6 +210,33 @@ def test_rabin_resynchronizes_on_shared_suffix():
     assert ia <= 1 and ib <= 1
 
 
+# Count and SHA-256 of the cut offsets, each a big-endian u64, over
+# Random(2022)'s 4 MiB under the defaults. Stored files were cut this way, and
+# cross-client dedup needs every client to keep cutting where they were cut.
+PINNED_CUTS = {
+    "rabin": (486, "7bf95041fcb5e807d769715e37b0347f94b9addebbefc56ef3d6560487f52777"),
+    "fixed": (512, "b583c1852dc16c3c700a72460c947e12d9813388b3e0cd380a896772e7e6cb4e"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_CUTS))
+def test_default_cut_points_are_pinned(mode):
+    data = random.Random(2022).randbytes(4 * 1024 * 1024)
+    offsets, at = [], 0
+    for chunk in chunk_stream(data, ChunkingParams(mode=mode)):
+        at += chunk.length
+        offsets.append(at)
+    digest = hashlib.sha256(b"".join(struct.pack(">Q", o) for o in offsets)).hexdigest()
+    assert (len(offsets), digest) == PINNED_CUTS[mode]
+
+
+def test_bounds_follow_from_the_average():
+    params = ChunkingParams()
+    assert (params.min_size, params.avg_size, params.max_size) == (2048, 8192, 16384)
+    assert ChunkingParams(avg_size=4096).min_size == 1024
+    assert ChunkingParams(avg_size=4096).max_size == 8192
+
+
 def test_rabin_empty_input():
     assert rabin_chunk(b"", ChunkingParams()) == []
 
@@ -216,9 +245,11 @@ def test_chunking_params_validation():
     with pytest.raises(ValueError):
         ChunkingParams(mode="nope")
     with pytest.raises(ValueError):
-        ChunkingParams(min_size=8192, avg_size=4096)
+        ChunkingParams(avg_size=0)
     with pytest.raises(ValueError):
-        ChunkingParams(min_size=16, avg_size=8192)  # below the window
+        ChunkingParams(avg_size=191)  # a quarter of it is below the window
+    assert ChunkingParams(avg_size=192).min_size == ROLLING_WINDOW
+    assert ChunkingParams(mode="fixed", avg_size=1).avg_size == 1
 
 
 # -- segmentation -----------------------------------------------------------------

@@ -23,10 +23,10 @@ from reed.config import Config, parse_address, parse_size
 from reed.errors import (AccessDenied, AuthenticationFailure, IntegrityViolation,
                          NotFound, NotOwner, PolicyEmpty, SchemeNotAllowed, UnknownUser)
 from reed.keygen import KeyManagerService, KeySession, ManagerKeyPair
-from reed.rekeying import derive_file_key, unwrap_state
+from reed.rekeying import DerivationKeyPair, derive_file_key, unwrap_state
 from reed.server import StorageService
 
-FIXED_8K = ChunkingParams(mode="fixed", fixed_size=8192)
+FIXED_8K = ChunkingParams(mode="fixed", avg_size=8192)
 
 
 def write_file(tmp_path, name: str, data: bytes) -> str:
@@ -145,6 +145,28 @@ def test_unregistered_policy_member_rejected(ready, identities, tmp_path):
     assert ready.service.stats().logical_bytes == 0  # refused before any package
 
 
+@pytest.mark.parametrize("policy", [["alice", ""], [""]])
+def test_an_empty_policy_member_is_refused(ready, identities, tmp_path, policy):
+    path = write_file(tmp_path, "f.bin", b"data")
+    with pytest.raises(UnknownUser, match="^the policy names an empty user id$"):
+        upload(path, policy=policy, identity=identities["alice"],
+               store=ready.store_session(), keys=ready.key_session())
+    assert ready.service.stats().logical_bytes == 0  # refused before any package
+
+
+@pytest.mark.parametrize("user_id", ["", "u" * 126, "\u00e9" * 63],
+                         ids=["empty", "126-bytes", "126-utf8-bytes"])
+def test_no_identity_is_made_for_an_id_the_server_cannot_name(monkeypatch, user_id):
+    monkeypatch.setattr(DerivationKeyPair, "generate", lambda: pytest.fail("made keys"))
+    with pytest.raises(ValueError, match=rf"^user id {user_id!r} must be 1 to 125 "
+                                         r"UTF-8 bytes$"):
+        ClientIdentity.create(user_id)
+
+
+def test_an_identity_is_made_for_an_id_of_125_bytes():
+    assert ClientIdentity.create("u" * 125).user_id == "u" * 125
+
+
 def test_duplicate_content_adds_no_container_bytes(ready, identities, tmp_path):
     data = random.Random(3).randbytes(1 << 20)
     store = ready.store_session()
@@ -259,7 +281,7 @@ def test_download_after_an_active_rekey_of_thousands_of_chunks(ready, identities
     store = ready.store_session()
     fid = upload(path, policy=["alice", "bob"], identity=identities["alice"],
                  store=store, keys=ready.key_session(),
-                 chunk_params=ChunkingParams(mode="fixed", fixed_size=2048))
+                 chunk_params=ChunkingParams(mode="fixed", avg_size=2048))
     assert Recipe.decode(store.get_recipe(fid)).chunk_count == 2561
     rekey_file(fid, new_policy=["alice"], mode="active",
                identity=identities["alice"], store=store)
@@ -520,6 +542,24 @@ identity_dir = {tmp_path}/{name}-identity
     return path
 
 
+def test_cli_keygen_register_refuses_an_empty_user_before_making_keys(tmp_path, capsys):
+    config = tmp_path / "reed.ini"
+    config.write_text(f"[client]\nidentity_dir = {tmp_path}/ids\n")
+    assert cli.main(["--config", str(config), "keygen-register", "--user", ""]) == 1
+    assert capsys.readouterr().err == "error: user id '' must be 1 to 125 UTF-8 bytes\n"
+    assert not (tmp_path / "ids").exists()
+
+
+def test_cli_upload_refuses_a_policy_naming_an_empty_user(ready, tmp_path, capsys):
+    cfg = make_config(tmp_path, ready, "trailing")
+    assert cli.main(["--config", cfg, "keygen-register", "--user", "trailing"]) == 0
+    path = write_file(tmp_path, "f.bin", b"data")
+    capsys.readouterr()
+    assert cli.main(["--config", cfg, "upload", path, "--policy", "trailing,"]) == 1
+    assert capsys.readouterr().err == "error: the policy names an empty user id\n"
+    assert ready.service.stats().logical_bytes == 0
+
+
 def test_cli_end_to_end(ready, tmp_path, capsys):
     cfg = make_config(tmp_path, ready, "cliuser")
     assert cli.main(["--config", cfg, "keygen-register", "--user", "cliuser"]) == 0
@@ -774,14 +814,14 @@ def test_cli_failed_download_leaves_no_partial_file(ready, tmp_path, capsys):
 
 def test_cli_upload_segments_for_the_chunking_it_uses(tmp_path, monkeypatch):
     config = tmp_path / "reed.ini"
-    config.write_text("[chunk]\nfixed_size = 4096\n")
+    config.write_text("[chunk]\navg_size = 4096\n")
     seen = {}
     monkeypatch.setattr(cli, "_identity", lambda cfg: None)
     monkeypatch.setattr(cli, "_store_session", lambda cfg: contextlib.nullcontext())
     monkeypatch.setattr(cli, "_key_session", lambda cfg: contextlib.nullcontext())
     monkeypatch.setattr(cli, "upload", lambda path, **kw: seen.update(kw) or "fid")
     assert cli.main(["--config", str(config), "upload", "f", "--policy", "a", "--fixed"]) == 0
-    assert (seen["chunk_params"].mode, seen["chunk_params"].fixed_size) == ("fixed", 4096)
+    assert seen["chunk_params"] == ChunkingParams(mode="fixed", avg_size=4096)
     assert seen["seg_params"].avg_chunk_size == 4096
 
 
@@ -818,8 +858,7 @@ def test_a_config_setting_nothing_builds_the_library_defaults(tmp_path, monkeypa
     for key in ("scheme", "keying"):
         assert seen.get(key, defaults[key].default) == defaults[key].default
     assert seen["chunk_params"] == ChunkingParams()
-    assert seen["seg_params"] == SegmentationParams(
-        avg_chunk_size=ChunkingParams().expected_size)
+    assert seen["seg_params"] == SegmentationParams(avg_chunk_size=ChunkingParams().avg_size)
 
     services = []
 
@@ -881,7 +920,7 @@ def test_parse_address_refuses_a_port_of_other_than_ascii_digits(text):
 
 
 @pytest.mark.parametrize("section, key, value, read", [
-    ("chunk", "min_size", "2x", lambda cfg: cfg.chunk_params),
+    ("chunk", "avg_size", "2x", lambda cfg: cfg.chunk_params),
     ("segment", "avg_size", "-1M", lambda cfg: cfg.segment_params(ChunkingParams())),
     ("manager", "rate_refill", "fast",
      lambda cfg: cfg.options("manager", rate_refill=float)),
@@ -892,6 +931,26 @@ def test_config_names_the_section_and_key_of_a_bad_value(tmp_path, section, key,
     config.write_text(f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ValueError, match=rf"^\[{section}\] {key}: .*{value!r}"):
         read(Config.load(str(config)))
+
+
+@pytest.mark.parametrize("key", ["fixed_size", "min_size", "max_size"])
+def test_a_removed_chunk_key_is_refused_by_name(tmp_path, key):
+    config = tmp_path / "reed.ini"
+    config.write_text(f"[chunk]\navg_size = 8192\n{key} = 4096\n")
+    with pytest.raises(ValueError, match=rf"^\[chunk\] {key} was removed: fixed mode "
+                                         r"cuts at avg_size"):
+        Config.load(str(config)).chunk_params
+
+
+def test_cli_refuses_a_removed_chunk_key_before_connecting(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "reed.ini"
+    config.write_text("[chunk]\nfixed_size = 4096\n")
+    for name in ("_store_session", "_key_session"):
+        monkeypatch.setattr(cli, name, lambda cfg: pytest.fail("connected"))
+    monkeypatch.setattr(cli, "_identity", lambda cfg: None)
+    assert cli.main(["--config", str(config), "upload", "f", "--policy", "a",
+                     "--fixed"]) == 1
+    assert capsys.readouterr().err.startswith("error: [chunk] fixed_size was removed")
 
 
 def test_cli_reports_a_bad_config_size_naming_its_key(tmp_path, capsys, monkeypatch):

@@ -23,7 +23,7 @@ from reed.server import StorageService
 from reed.wire import LocalBackend
 
 CONTAINER = 8192
-CHUNKS = ChunkingParams(min_size=1024, avg_size=2048, max_size=4096)
+CHUNKS = ChunkingParams(avg_size=2048)
 
 
 def item(data: bytes) -> tuple[bytes, bytes]:

@@ -403,6 +403,17 @@ def test_keypair_pem_is_private(pair, tmp_path, umask_022, existing):
     assert ManagerKeyPair.load_pem(str(path)) == pair
 
 
+def test_keypair_pem_ignores_the_mode_of_a_leftover_temporary_file(pair, tmp_path,
+                                                                    umask_022):
+    path = tmp_path / "manager.pem"
+    leftover = tmp_path / "manager.pem.tmp"
+    leftover.write_bytes(b"from a save cut short")
+    os.chmod(leftover, 0o644)
+    pair.save_pem(str(path))
+    assert os.stat(path).st_mode & 0o077 == 0
+    assert not leftover.exists()
+
+
 def test_keypair_created_on_first_boot(tmp_path):
     path = str(tmp_path / "fresh.pem")
     first = ManagerKeyPair.load_or_create(path)

@@ -7,6 +7,7 @@ logged on the server; and the client refuses a reply of the wrong type.
 """
 
 import contextlib
+import hashlib
 import logging
 import os
 import random
@@ -160,6 +161,31 @@ def test_a_request_over_the_frame_limit_is_refused_before_it_is_sent(services, t
     with pytest.raises(NotFound):
         session.get_stub("oversized")
     assert session.stats().logical_bytes >= 0  # the connection is still in step
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_a_read_whose_reply_would_exceed_the_frame_limit_is_refused_before_reading(
+        services, transport, monkeypatch):
+    objects, conns = services
+    backend = wire.LocalBackend(objects["store"]) if transport == "local" else conns["store"]
+    session = StoreSession(backend)
+    package = random.Random(22).randbytes(16 * 1024)
+    fp = hashlib.sha256(package).digest()
+    session.put_packages([(fp, package)])
+    containers = objects["store"].containers
+    reads = []
+    real_read = containers.read
+    monkeypatch.setattr(containers, "read", lambda spans: reads.append(spans) or real_read(spans))
+    monkeypatch.setattr(wire, "MAX_FRAME", 1 << 20)  # a cheap ceiling, same check
+    # a reply is a count, then each package with its length: 63 fit, 64 do not
+    assert session.get_packages([fp] * 63) == [package] * 63
+    reads.clear()
+    size = 4 + 64 * (4 + len(package))
+    with pytest.raises(InvalidOperand, match=rf"^reply of {size} bytes would exceed the "
+                                             r"frame limit of 1048576 bytes$"):
+        session.get_packages([fp] * 64)
+    assert reads == []
+    assert session.stats().index_entries >= 1  # the connection is still in step
 
 
 class SlowFirstReply:

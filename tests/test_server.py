@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from conftest import assert_one_stub_record, tree_digest
+from conftest import CrashPoints, assert_one_stub_record, tree_digest
 from reed import wire
 from reed.client import Connection, StoreSession
 from reed.errors import (FingerprintMismatch, InvalidOperand, NotFound,
@@ -347,6 +347,22 @@ def test_put_syncs_the_record_before_its_rename_and_the_directory_after(
     inode = os.stat(record).st_ino
     assert events == [("fsync", inode), ("replace", inode, record),
                       ("fsync", os.stat(stub_kind(tmp_path)).st_ino)]
+
+
+@pytest.mark.parametrize("obj_id", ["f", "g"], ids=["replace", "new"])
+def test_a_blob_put_takes_three_durable_steps(session, tmp_path, obj_id):
+    session.put_stub("f", 0, b"old")  # the kind directory exists
+    points = CrashPoints(str(tmp_path))
+    with points.armed():
+        session.put_stub(obj_id, 1, b"new")
+    assert points.steps == ["os.fsync", "os.replace", "os.fsync"]
+
+
+def test_a_blob_record_takes_the_mode_of_a_plain_open(session, tmp_path, umask_022):
+    session.put_stub("f", 0, b"old")
+    session.put_stub("f", 1, b"new")
+    record = os.path.join(stub_kind(tmp_path), b"f".hex())
+    assert stat.S_IMODE(os.stat(record).st_mode) == 0o644
 
 
 def test_put_cut_at_its_rename_keeps_the_previous_version(tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MiB = 1 << 20
 
 RABIN = ChunkingParams()
-FIXED = ChunkingParams(mode="fixed", fixed_size=8192)
+FIXED = ChunkingParams(mode="fixed", avg_size=8192)
 
 
 class CountingKeys(KeySession):

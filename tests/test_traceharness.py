@@ -6,10 +6,9 @@ import pytest
 
 from reed import cli, traceharness
 from reed.chunking import SegmentationParams
-from reed.client import download, store_file
+from reed.client import KEYING_CHUNK, KEYING_SIMILARITY, download, store_file
 from reed.errors import TraceParseError
-from reed.traceharness import (MODE_CHUNK, MODE_SIMILARITY, TraceRecord,
-                               format_trace, generate_trace, parse_trace,
+from reed.traceharness import (TraceRecord, format_trace, generate_trace, parse_trace,
                                replay, synthesize_chunk)
 
 
@@ -118,15 +117,15 @@ SMALL_SEG = dict(avg_segment_size=32768, avg_chunk_size=8192)
 def test_replay_report_is_deterministic(tmp_path):
     trace = generate_trace(seed=6, snapshots=3, chunks_per_snapshot=60,
                            mutation_rate=0.2)
-    one = replay(trace, MODE_SIMILARITY, **SMALL_SEG)
-    two = replay(trace, MODE_SIMILARITY, **SMALL_SEG)
+    one = replay(trace, KEYING_SIMILARITY, **SMALL_SEG)
+    two = replay(trace, KEYING_SIMILARITY, **SMALL_SEG)
     assert one.to_tsv() == two.to_tsv()
 
 
 def test_exact_duplicate_snapshot_law():
     snap = generate_trace(seed=7, snapshots=1, chunks_per_snapshot=80,
                           mutation_rate=0.0)[0]
-    report = replay([snap, snap], MODE_SIMILARITY, **SMALL_SEG)
+    report = replay([snap, snap], KEYING_SIMILARITY, **SMALL_SEG)
     first, second = report.rows
     assert second.physical_bytes == first.physical_bytes  # zero new container bytes
     assert second.stub_bytes - first.stub_bytes == 64 * len(snap) + 28
@@ -136,8 +135,8 @@ def test_exact_duplicate_snapshot_law():
 def test_stub_bytes_equal_across_modes():
     trace = generate_trace(seed=8, snapshots=3, chunks_per_snapshot=70,
                            mutation_rate=0.15)
-    sim = replay(trace, MODE_SIMILARITY, **SMALL_SEG)
-    chunk = replay(trace, MODE_CHUNK, **SMALL_SEG)
+    sim = replay(trace, KEYING_SIMILARITY, **SMALL_SEG)
+    chunk = replay(trace, KEYING_CHUNK, **SMALL_SEG)
     assert sim.totals.stub_bytes == chunk.totals.stub_bytes
     assert sim.totals.logical_bytes == chunk.totals.logical_bytes
 
@@ -145,16 +144,16 @@ def test_stub_bytes_equal_across_modes():
 def test_similarity_never_beats_chunk_dedup():
     trace = generate_trace(seed=9, snapshots=4, chunks_per_snapshot=80,
                            mutation_rate=0.2)
-    sim = replay(trace, MODE_SIMILARITY, **SMALL_SEG)
-    chunk = replay(trace, MODE_CHUNK, **SMALL_SEG)
+    sim = replay(trace, KEYING_SIMILARITY, **SMALL_SEG)
+    chunk = replay(trace, KEYING_CHUNK, **SMALL_SEG)
     assert sim.totals.physical_bytes >= chunk.totals.physical_bytes
 
 
 def test_key_request_counts_per_mode():
     trace = generate_trace(seed=10, snapshots=2, chunks_per_snapshot=100,
                            mutation_rate=0.1)
-    sim = replay(trace, MODE_SIMILARITY, **SMALL_SEG)
-    chunk = replay(trace, MODE_CHUNK, **SMALL_SEG)
+    sim = replay(trace, KEYING_SIMILARITY, **SMALL_SEG)
+    chunk = replay(trace, KEYING_CHUNK, **SMALL_SEG)
     # per-chunk mode: one request per logical chunk, duplicates included
     assert chunk.key_requests == 200
     # similarity mode: exactly one request per segment
@@ -176,7 +175,7 @@ def oracle_key_ids(snapshots, mode, seg_params: SegmentationParams):
     for snap in snapshots:
         chunks = [synthesize_chunk(r.fp_hex, r.size) for r in snap]
         fps = [hashlib.sha256(c).digest() for c in chunks]
-        if mode == MODE_CHUNK:
+        if mode == KEYING_CHUNK:
             key_ids = fps
         else:
             key_ids = []
@@ -200,7 +199,7 @@ def oracle_physical(snapshots, mode, seg_params: SegmentationParams) -> int:
     return sum(len(chunk) for chunk, _ in set(oracle_key_ids(snapshots, mode, seg_params)))
 
 
-@pytest.mark.parametrize("mode", [MODE_CHUNK, MODE_SIMILARITY])
+@pytest.mark.parametrize("mode", [KEYING_CHUNK, KEYING_SIMILARITY])
 def test_replay_matches_brute_force_oracle(mode):
     trace = generate_trace(seed=11, snapshots=4, chunks_per_snapshot=90,
                            mutation_rate=0.25)
@@ -211,7 +210,7 @@ def test_replay_matches_brute_force_oracle(mode):
     assert report.totals.physical_bytes == oracle_physical(trace, mode, params)
 
 
-@pytest.mark.parametrize("mode, resolved", [(MODE_CHUNK, 6000), (MODE_SIMILARITY, 58)])
+@pytest.mark.parametrize("mode, resolved", [(KEYING_CHUNK, 6000), (KEYING_SIMILARITY, 58)])
 def test_key_cache_on_the_mode_comparison_trace(mode, resolved):
     # acceptance criterion 10's trace, replayed through one key session
     trace = generate_trace(seed=0x5EED10, snapshots=10, chunks_per_snapshot=600,
@@ -258,7 +257,7 @@ def test_extreme_binning_repeated_representative():
 
     snap = [TraceRecord(x, size) for x in
             [a, b, c, t1, d, e, f, t2, a, b, c, d]]
-    report = replay([snap], MODE_SIMILARITY, avg_segment_size=4 * size,
+    report = replay([snap], KEYING_SIMILARITY, avg_segment_size=4 * size,
                     avg_chunk_size=size)
     # segments: [a b c t1] [d e f t2] [a b c d] with representatives a, d, a
     assert report.key_requests == 3
@@ -272,15 +271,15 @@ def test_ten_snapshot_overlap_ordering():
     # both modes dedup well below logical
     trace = generate_trace(seed=12, snapshots=10, chunks_per_snapshot=120,
                            mutation_rate=0.1)
-    sim = replay(trace, MODE_SIMILARITY)
-    chunk = replay(trace, MODE_CHUNK)
+    sim = replay(trace, KEYING_SIMILARITY)
+    chunk = replay(trace, KEYING_CHUNK)
     assert sim.totals.physical_bytes >= chunk.totals.physical_bytes
     assert sim.totals.stub_bytes == chunk.totals.stub_bytes
     assert sim.totals.physical_bytes < sim.totals.logical_bytes / 2
     assert chunk.totals.physical_bytes < chunk.totals.logical_bytes / 2
 
 
-@pytest.mark.parametrize("mode", [MODE_CHUNK, MODE_SIMILARITY])
+@pytest.mark.parametrize("mode", [KEYING_CHUNK, KEYING_SIMILARITY])
 def test_every_replayed_snapshot_downloads_to_its_synthesized_chunks(monkeypatch, mode):
     trace = generate_trace(seed=15, snapshots=3, chunks_per_snapshot=50,
                            mutation_rate=0.2)
@@ -301,7 +300,7 @@ def test_every_replayed_snapshot_downloads_to_its_synthesized_chunks(monkeypatch
 def test_tsv_shape():
     trace = generate_trace(seed=13, snapshots=2, chunks_per_snapshot=30,
                            mutation_rate=0.0)
-    text = replay(trace, MODE_SIMILARITY, **SMALL_SEG).to_tsv()
+    text = replay(trace, KEYING_SIMILARITY, **SMALL_SEG).to_tsv()
     lines = text.strip().splitlines()
     assert lines[0] == "snapshot\tlogical\tphysical\tstub\tsaving"
     assert len(lines) == 3
@@ -388,5 +387,5 @@ def test_replay_removes_only_the_directory_it_made(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     trace = generate_trace(seed=14, snapshots=2, chunks_per_snapshot=10,
                            mutation_rate=0.5)
-    replay(trace, MODE_SIMILARITY, **SMALL_SEG)
+    replay(trace, KEYING_SIMILARITY, **SMALL_SEG)
     assert os.listdir(tmp_path) == []
