@@ -48,9 +48,10 @@ class ChunkingParams:
         if self.mode not in ("fixed", "rabin"):
             raise ValueError(f"unknown chunking mode {self.mode!r}")
         if self.avg_size < 1:
-            raise ValueError("avg_size must be >= 1")
+            raise ValueError(f"avg_size must be at least 1, not {self.avg_size}")
         if self.mode == "rabin" and self.min_size < ROLLING_WINDOW:
-            raise ValueError(f"avg_size must be at least {4 * ROLLING_WINDOW} under rabin")
+            raise ValueError(f"avg_size must be at least {4 * ROLLING_WINDOW} under rabin, "
+                             f"not {self.avg_size}")
 
     @property
     def min_size(self) -> int:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import os
 import sys
 import tempfile
@@ -16,7 +15,7 @@ import tempfile
 from . import caont, errors, traceharness
 from .client import (KEYINGS, ClientIdentity, Connection, StoreSession, download_to,
                      register_identity, rekey_file, upload)
-from .config import Config, parse_named, parse_size
+from .config import Config, parse_named, parse_positive_size, parse_size
 from .keygen import KeyManagerService, KeySession, ManagerKeyPair
 from .server import FrameServer, StorageService
 
@@ -148,13 +147,11 @@ def _run(args, cfg: Config) -> int:
         return EXIT_OK
 
     if args.command == "upload":
-        options = _upload_options(args, cfg)  # refused here, before connecting
+        # refused here, before connecting
+        options = _upload_options(args, cfg)
+        chunk_params = cfg.chunk_params("fixed" if args.fixed else
+                                        "rabin" if args.rabin else None)
         identity = _identity(cfg)
-        chunk_params = cfg.chunk_params
-        if args.fixed:
-            chunk_params = dataclasses.replace(chunk_params, mode="fixed")
-        elif args.rabin:
-            chunk_params = dataclasses.replace(chunk_params, mode="rabin")
         sessions = _store_session(cfg), _key_session(cfg)  # both addresses, then connect
         with sessions[0] as store, sessions[1] as keys:
             file_id = upload(
@@ -211,9 +208,9 @@ def _run(args, cfg: Config) -> int:
 
     if args.command == "serve-store":
         host, port = cfg.address("server", "listen")
-        service = StorageService(cfg.get("server", "data_root"),
-                                 cfg.get("server", "key_root"),
-                                 **cfg.options("server", container_size=parse_size))
+        options = cfg.options("server", container_size=parse_size)
+        service = _in_section("server", lambda: StorageService(
+            cfg.get("server", "data_root"), cfg.get("server", "key_root"), **options))
         server = FrameServer(service, host, port).start()
         print(f"storage server on {server.address[0]}:{server.address[1]}")
         _serve_until_interrupt(server, service)
@@ -222,15 +219,25 @@ def _run(args, cfg: Config) -> int:
     if args.command == "serve-manager":
         host, port = cfg.address("manager", "listen")
         keypair = ManagerKeyPair.load_or_create(cfg.get("manager", "key_file"))
-        service = KeyManagerService(
-            keypair, **cfg.options("manager", rate_capacity=parse_size,
-                                   rate_refill=float, batch_cap=parse_size))
+        options = cfg.options("manager", rate_capacity=parse_size, rate_refill=float,
+                              batch_cap=parse_size)
+        service = _in_section("manager", lambda: KeyManagerService(keypair, **options))
         server = FrameServer(service, host, port).start()
         print(f"key manager on {server.address[0]}:{server.address[1]}")
         _serve_until_interrupt(server)
         return EXIT_OK
 
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def _in_section(section: str, make):
+    """make(), a service built from the keys of [section]. The service names
+    a keyword it refuses, and each keyword is the key of that name, so its
+    ValueError is raised again led by [section]."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {exc}") from None
 
 
 def _serve_until_interrupt(server: FrameServer, service=None) -> None:
@@ -274,8 +281,9 @@ def _run_trace(args) -> int:
         snapshots = traceharness.load_trace(args.trace, args.drop_zero)
         report = traceharness.replay(
             snapshots, args.mode,
-            avg_segment_size=parse_named("--avg-segment", parse_size, args.avg_segment),
-            avg_chunk_size=parse_named("--avg-chunk", parse_size, args.avg_chunk))
+            avg_segment_size=parse_named("--avg-segment", parse_positive_size,
+                                         args.avg_segment),
+            avg_chunk_size=parse_named("--avg-chunk", parse_positive_size, args.avg_chunk))
         with _output(args.report) as fh:
             fh.write(report.to_tsv())
         # on stderr, so that standard output stays one TSV table

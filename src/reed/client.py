@@ -37,7 +37,13 @@ from .server import MAX_BLOB_ID, ServerStats, _atomic_write, _make_dirs
 KEYING_CHUNK = "chunk"
 KEYING_SIMILARITY = "similarity"
 KEYINGS = (KEYING_CHUNK, KEYING_SIMILARITY)
-TRANSFER_BATCH = 4 * 1024 * 1024
+# One average segment. It sizes the upload's read blocks and package batches
+# and the download's fetches, so every request and reply frame. Against 4 MiB
+# (2 vCPU, backups of 48 MiB snapshots) it cut peak RSS from 145 to 116 MB,
+# and an in-process 24 MiB upload's traced peak from 21.3 to 7.2 MiB, for
+# about 0.7 more round trips and 1.2 more fsyncs per MB; 512 KiB saved only
+# 3 MB more, and doubles the requests again.
+TRANSFER_BATCH = 1024 * 1024
 RECIPE_FORMAT = 1
 _RECIPE_ENTRY = struct.Struct(">32sII")  # fingerprint, chunk length, segment index
 
@@ -263,9 +269,9 @@ class Recipe:
 # An upload is one pass of generator stages, each pulling from the last:
 # read the file in TRANSFER_BATCH blocks, chunk each block, segment and key
 # the chunks, transform each chunk into a package, and ship the packages in
-# TRANSFER_BATCH batches. Memory is bounded by a few blocks, one open
-# segment and one batch; only a recipe entry and a 64-byte stub per chunk
-# grow with the file.
+# TRANSFER_BATCH batches. Memory is bounded by the open segment (up to twice
+# the average segment size) plus a block and a batch of the same order;
+# only a recipe entry and a 64-byte stub per chunk grow with the file.
 
 
 def _batches(items: Iterable, size: Callable[[object], int]) -> Iterator[list]:

@@ -75,6 +75,14 @@ def parse_size(text: str) -> int:
         raise ValueError(f"expected a size of the form <bytes>[K|M|G], got {text!r}") from None
 
 
+def parse_positive_size(text: str) -> int:
+    """parse_size(text), refused below one byte."""
+    size = parse_size(text)
+    if size < 1:
+        raise ValueError(f"expected a size of at least 1 byte, got {text!r}")
+    return size
+
+
 def parse_named(name: str, parse, text: str):
     """parse(text); a ValueError it raises is raised again led by name, the
     option or flag that text came from."""
@@ -112,17 +120,26 @@ class Config:
         """The host and port of [section] key; ValueError names the key."""
         return parse_named(f"[{section}] {key}", parse_address, self.get(section, key))
 
-    @property
-    def chunk_params(self) -> ChunkingParams:
-        """[chunk] mode and avg_size. A removed key is refused by name, since
-        ignoring it would change the cut points against stored data."""
+    def chunk_params(self, mode: str | None = None) -> ChunkingParams:
+        """[chunk] mode and avg_size, with mode, when given, in place of
+        [chunk] mode, so avg_size is checked under the mode in use. A removed
+        key is refused by name, since ignoring it would change the cut
+        points against stored data."""
         for key in ("fixed_size", "min_size", "max_size"):
             if self.parser.has_option("chunk", key):
                 raise ValueError(f"[chunk] {key} was removed: fixed mode cuts at avg_size, "
                                  "and rabin chunks are avg_size/4 to 2*avg_size")
-        return ChunkingParams(**self.options("chunk", mode=str, avg_size=parse_size))
+        # a mode is checked alone, under the default avg_size both modes take
+        options = self.options("chunk", mode=lambda text: ChunkingParams(mode=text).mode,
+                               avg_size=parse_size)
+        if mode is not None:
+            options["mode"] = mode
+        try:
+            return ChunkingParams(**options)
+        except ValueError as exc:  # the mode passed, so avg_size is at fault
+            raise ValueError(f"[chunk] avg_size: {exc}") from None
 
     def segment_params(self, chunk: ChunkingParams) -> SegmentationParams:
         """Segmentation planned for the chunking actually used."""
         return SegmentationParams(avg_chunk_size=chunk.avg_size,
-                                  **self.options("segment", avg_size=parse_size))
+                                  **self.options("segment", avg_size=parse_positive_size))

@@ -234,6 +234,11 @@ class KeyManagerService:
         for name, value in (("batch_cap", batch_cap), ("rate_capacity", rate_capacity)):
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, not {value}")
+        # a nan or infinite refill keeps every bucket full, so nothing is ever
+        # limited, and a negative one drains each bucket for good
+        if not (math.isfinite(rate_refill) and rate_refill >= 0):
+            raise ValueError(f"rate_refill must be a finite number of at least 0, "
+                             f"not {rate_refill}")
         self.keypair = keypair
         self.limiter = TokenBucket(rate_capacity, rate_refill, clock)
         self.batch_cap = batch_cap

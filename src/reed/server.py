@@ -387,6 +387,8 @@ class StorageService:
 
     def __init__(self, data_root: str, key_root: str,
                  container_size: int = CONTAINER_SIZE):
+        if container_size < 1:  # before anything is made
+            raise ValueError(f"container_size must be at least 1, not {container_size}")
         _make_dirs(data_root)
         _make_dirs(key_root)
         self.data_root = data_root

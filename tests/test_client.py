@@ -693,7 +693,37 @@ def test_cli_refuses_a_batch_cap_of_zero(tmp_path, capsys, monkeypatch, manager_
     config.write_text("[manager]\nbatch_cap = 0\n")
     refuse_to_act(monkeypatch, manager_keypair)
     assert cli.main(["--config", str(config), "serve-manager"]) == 1
-    assert capsys.readouterr().err == "error: batch_cap must be at least 1, not 0\n"
+    assert capsys.readouterr().err == "error: [manager] batch_cap must be at least 1, not 0\n"
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("rate_capacity = 0", "[manager] rate_capacity must be at least 1, not 0"),
+    ("rate_refill = nan", "[manager] rate_refill must be a finite number of at least 0, "
+                          "not nan"),
+    ("rate_refill = -1", "[manager] rate_refill must be a finite number of at least 0, "
+                         "not -1.0"),
+    ("rate_refill = inf", "[manager] rate_refill must be a finite number of at least 0, "
+                          "not inf"),
+], ids=["capacity-0", "refill-nan", "refill-negative", "refill-inf"])
+def test_cli_refuses_a_rate_that_breaks_the_limiter_naming_its_key(
+        tmp_path, capsys, monkeypatch, manager_keypair, setting, message):
+    config = tmp_path / "reed.ini"
+    config.write_text(f"[manager]\n{setting}\n")
+    refuse_to_act(monkeypatch, manager_keypair)
+    assert cli.main(["--config", str(config), "serve-manager"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_refuses_a_container_size_of_zero_before_making_a_root(
+        tmp_path, capsys, monkeypatch, manager_keypair):
+    config = tmp_path / "reed.ini"
+    config.write_text("[server]\ncontainer_size = 0\n")
+    monkeypatch.chdir(tmp_path)
+    refuse_to_act(monkeypatch, manager_keypair)
+    assert cli.main(["--config", str(config), "serve-store"]) == 1
+    assert capsys.readouterr().err == \
+        "error: [server] container_size must be at least 1, not 0\n"
+    assert os.listdir(tmp_path) == ["reed.ini"]
 
 
 def test_cli_refuses_an_identity_without_primes_naming_its_file(ready, tmp_path, capsys):
@@ -812,17 +842,65 @@ def test_cli_failed_download_leaves_no_partial_file(ready, tmp_path, capsys):
         assert fh.read() == data
 
 
-def test_cli_upload_segments_for_the_chunking_it_uses(tmp_path, monkeypatch):
-    config = tmp_path / "reed.ini"
-    config.write_text("[chunk]\navg_size = 4096\n")
+def stub_upload(monkeypatch) -> dict:
+    """Run upload commands up to upload(), whose keyword arguments land in
+    the dict returned, and connect nothing."""
     seen = {}
     monkeypatch.setattr(cli, "_identity", lambda cfg: None)
     monkeypatch.setattr(cli, "_store_session", lambda cfg: contextlib.nullcontext())
     monkeypatch.setattr(cli, "_key_session", lambda cfg: contextlib.nullcontext())
     monkeypatch.setattr(cli, "upload", lambda path, **kw: seen.update(kw) or "fid")
+    return seen
+
+
+def test_cli_upload_segments_for_the_chunking_it_uses(tmp_path, monkeypatch):
+    config = tmp_path / "reed.ini"
+    config.write_text("[chunk]\navg_size = 4096\n")
+    seen = stub_upload(monkeypatch)
     assert cli.main(["--config", str(config), "upload", "f", "--policy", "a", "--fixed"]) == 0
     assert seen["chunk_params"] == ChunkingParams(mode="fixed", avg_size=4096)
     assert seen["seg_params"].avg_chunk_size == 4096
+
+
+@pytest.mark.parametrize("settings", ["", "mode = rabin\n"], ids=["default", "rabin"])
+def test_cli_upload_fixed_checks_the_chunk_size_under_fixed(tmp_path, monkeypatch,
+                                                            settings):
+    # 128 is below the rabin floor of 192, and fixed chunking takes it
+    config = tmp_path / "reed.ini"
+    config.write_text(f"[chunk]\n{settings}avg_size = 128\n")
+    seen = stub_upload(monkeypatch)
+    assert cli.main(["--config", str(config), "upload", "f", "--policy", "a", "--fixed"]) == 0
+    assert seen["chunk_params"] == ChunkingParams(mode="fixed", avg_size=128)
+
+
+@pytest.mark.parametrize("settings, flags, message", [
+    ("avg_size = 128", [], "[chunk] avg_size: avg_size must be at least 192 under rabin, "
+                           "not 128"),
+    ("mode = fixed\navg_size = 128", ["--rabin"],
+     "[chunk] avg_size: avg_size must be at least 192 under rabin, not 128"),
+    ("mode = fixed\navg_size = 0", [], "[chunk] avg_size: avg_size must be at least 1, "
+                                       "not 0"),
+    ("mode = cdc", ["--fixed"], "[chunk] mode: unknown chunking mode 'cdc'"),
+], ids=["rabin-128", "flag-rabin-128", "fixed-0", "unknown-mode"])
+def test_cli_upload_names_the_chunk_key_it_refuses(tmp_path, capsys, monkeypatch,
+                                                   settings, flags, message):
+    config = tmp_path / "reed.ini"
+    config.write_text(f"[chunk]\n{settings}\n")
+    seen = stub_upload(monkeypatch)
+    assert cli.main(["--config", str(config), "upload", "f", "--policy", "a", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert seen == {}
+
+
+def test_cli_upload_refuses_a_segment_size_of_zero_naming_its_key(tmp_path, capsys,
+                                                                  monkeypatch):
+    config = tmp_path / "reed.ini"
+    config.write_text("[segment]\navg_size = 0\n")
+    seen = stub_upload(monkeypatch)
+    assert cli.main(["--config", str(config), "upload", "f", "--policy", "a"]) == 1
+    assert capsys.readouterr().err == ("error: [segment] avg_size: expected a size of at "
+                                       "least 1 byte, got '0'\n")
+    assert seen == {}
 
 
 @pytest.mark.parametrize("setting, message", [
@@ -848,11 +926,7 @@ def test_a_config_setting_nothing_builds_the_library_defaults(tmp_path, monkeypa
     config = tmp_path / "empty.ini"
     config.write_text("")
     monkeypatch.chdir(tmp_path)  # the default data and key roots are relative
-    seen = {}
-    monkeypatch.setattr(cli, "_identity", lambda cfg: None)
-    monkeypatch.setattr(cli, "_store_session", lambda cfg: contextlib.nullcontext())
-    monkeypatch.setattr(cli, "_key_session", lambda cfg: contextlib.nullcontext())
-    monkeypatch.setattr(cli, "upload", lambda path, **kw: seen.update(kw) or "fid")
+    seen = stub_upload(monkeypatch)
     assert cli.main(["--config", str(config), "upload", "f", "--policy", "a"]) == 0
     defaults = inspect.signature(upload).parameters
     for key in ("scheme", "keying"):
@@ -920,7 +994,7 @@ def test_parse_address_refuses_a_port_of_other_than_ascii_digits(text):
 
 
 @pytest.mark.parametrize("section, key, value, read", [
-    ("chunk", "avg_size", "2x", lambda cfg: cfg.chunk_params),
+    ("chunk", "avg_size", "2x", lambda cfg: cfg.chunk_params()),
     ("segment", "avg_size", "-1M", lambda cfg: cfg.segment_params(ChunkingParams())),
     ("manager", "rate_refill", "fast",
      lambda cfg: cfg.options("manager", rate_refill=float)),
@@ -939,7 +1013,7 @@ def test_a_removed_chunk_key_is_refused_by_name(tmp_path, key):
     config.write_text(f"[chunk]\navg_size = 8192\n{key} = 4096\n")
     with pytest.raises(ValueError, match=rf"^\[chunk\] {key} was removed: fixed mode "
                                          r"cuts at avg_size"):
-        Config.load(str(config)).chunk_params
+        Config.load(str(config)).chunk_params()
 
 
 def test_cli_refuses_a_removed_chunk_key_before_connecting(tmp_path, capsys, monkeypatch):

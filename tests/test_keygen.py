@@ -223,6 +223,19 @@ def test_manager_refuses_a_cap_or_capacity_below_one(pair, name):
     assert str(info.value) == f"{name} must be at least 1, not 0"
 
 
+@pytest.mark.parametrize("refill", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_manager_refuses_a_refill_that_is_not_a_finite_number_of_at_least_0(pair, refill):
+    # nan or inf would keep every bucket full, and a negative refill drains it
+    with pytest.raises(ValueError) as info:
+        KeyManagerService(pair, rate_refill=refill)
+    assert str(info.value) == f"rate_refill must be a finite number of at least 0, not {refill}"
+
+
+def test_a_refill_of_0_grants_the_capacity_and_no_more(pair):
+    service = KeyManagerService(pair, rate_capacity=3, rate_refill=0.0, clock=FakeClock())
+    assert [service.limiter.try_acquire("c") for _ in range(6)] == [True] * 3 + [False] * 3
+
+
 # -- key cache ----------------------------------------------------------------------
 
 

@@ -542,6 +542,15 @@ def test_rotation_after_restart(tmp_path):
     svc2.close()
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_a_container_size_below_one_is_refused_before_a_root_is_made(tmp_path, size):
+    # a store of 0-byte containers would refuse every package put to it
+    with pytest.raises(ValueError) as info:
+        StorageService(str(tmp_path / "data"), str(tmp_path / "keys"), container_size=size)
+    assert str(info.value) == f"container_size must be at least 1, not {size}"
+    assert os.listdir(tmp_path) == []
+
+
 def test_restart_with_empty_index_drops_stray_container_bytes(tmp_path):
     data_root, key_root = str(tmp_path / "data"), str(tmp_path / "keys")
     container = os.path.join(data_root, "containers", "00000000.bin")

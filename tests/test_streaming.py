@@ -3,8 +3,9 @@
 The upload reads a file in TRANSFER_BATCH blocks and keys each block's
 sealed segments as it goes; these tests hold its chunks, segment keys,
 segment indices and key requests to the one-shot chunk_stream + segment
-result over many read sizes, bound the memory of upload and download_to by
-a block rather than the file, and check that the benchmark's span tracer
+result over many read sizes, hold what the server stores to the same bytes
+under two batch sizes, bound the memory of upload and download_to by a
+block rather than the file, and check that the benchmark's span tracer
 still sees every chunking and CAONT call.
 """
 
@@ -17,12 +18,13 @@ import tracemalloc
 
 import pytest
 
-from reed import client
+from reed import caont, client
 from reed.chunking import ChunkingParams, SegmentationParams, chunk_stream, fingerprint, segment
 from reed.client import (KEYING_CHUNK, KEYING_SIMILARITY, StoreSession, download_to,
                          register_identity, upload)
 from reed.keygen import KeyManagerService, KeySession
-from reed.server import StorageService
+from reed.rekeying import derive_file_key, unwind_to, unwrap_state
+from reed.server import _BATCH_FP, _INDEX_RECORD, StorageService
 from reed.wire import LocalBackend
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,7 +78,8 @@ CASES = [(1, 40 * 1024, 16 * 1024),
          (16383, 600 * 1024, 64 * 1024),
          (16384, 600 * 1024, 64 * 1024),
          (16385, 600 * 1024, 64 * 1024),
-         (client.TRANSFER_BATCH, 10 * MiB, MiB)]
+         (client.TRANSFER_BATCH, 10 * MiB, MiB),
+         (4 * MiB, 10 * MiB, MiB)]
 
 
 @pytest.mark.parametrize("params", [RABIN, FIXED], ids=["rabin", "fixed"])
@@ -145,26 +148,104 @@ def test_upload_and_download_memory_does_not_grow_with_the_file(
     assert down[36] - down[12] < 8 * MiB, down
 
 
-def test_upload_frees_each_block_before_reading_the_next(manager_keypair, identities,
-                                                         tmp_path):
-    # In-process, so the peak counts the client alone. Holding one block's
-    # chunks while the next is read and chunked reads about 26 MiB here;
-    # freeing them, about 22.5 MiB.
+@pytest.fixture
+def in_process(manager_keypair, identities, tmp_path):
+    """(store, keys) on services in this process, so a traced peak counts
+    the client alone, with alice registered."""
     service = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
     store = StoreSession(LocalBackend(service))
     keys = KeySession(LocalBackend(KeyManagerService(manager_keypair)))
-    alice = identities["alice"]
-    register_identity(store, alice)
+    register_identity(store, identities["alice"])
     keys.public_key
-    path = str(tmp_path / "24.bin")
+    yield store, keys
+    service.close()
+
+
+def write_random(path: str, size: int, seed: int) -> str:
     with open(path, "wb") as fh:
-        fh.write(random.Random(24).randbytes(24 * MiB))
-    try:
-        peak = traced_peak(upload, path, policy=["alice"], identity=alice,
-                           store=store, keys=keys)
-    finally:
-        service.close()
-    assert peak < 24.5 * MiB, peak / MiB
+        fh.write(random.Random(seed).randbytes(size))
+    return path
+
+
+def test_upload_frees_each_block_before_reading_the_next(in_process, identities, tmp_path):
+    # With 1 MiB blocks this reads about 7.2 MiB; with 4 MiB blocks it read
+    # about 21.3 MiB, and about 26 MiB when one block's chunks were still
+    # held while the next was read and chunked.
+    store, keys = in_process
+    path = write_random(str(tmp_path / "24.bin"), 24 * MiB, 24)
+    peak = traced_peak(upload, path, policy=["alice"], identity=identities["alice"],
+                       store=store, keys=keys)
+    assert peak < 10 * MiB, peak / MiB
+
+
+def test_download_to_holds_about_one_batch(in_process, identities, tmp_path):
+    # About 2.8 MiB with 1 MiB batches, and 8.8 MiB with 4 MiB batches.
+    store, keys = in_process
+    alice = identities["alice"]
+    path = write_random(str(tmp_path / "24.bin"), 24 * MiB, 24)
+    fid = upload(path, policy=["alice"], identity=alice, store=store, keys=keys)
+    with open(str(tmp_path / "24.out"), "wb") as sink:
+        peak = traced_peak(download_to, fid, sink, identity=alice, store=store)
+    assert peak < 4 * MiB, peak / MiB
+    with open(path, "rb") as a, open(str(tmp_path / "24.out"), "rb") as b:
+        assert a.read() == b.read()
+
+
+def package_records(data_root: str) -> list[bytes]:
+    """The index log's package records, in order, without its batch records."""
+    with open(os.path.join(data_root, "index.log"), "rb") as fh:
+        log = fh.read()
+    records = [log[i:i + _INDEX_RECORD.size] for i in range(0, len(log), _INDEX_RECORD.size)]
+    return [r for r in records if not r.startswith(_BATCH_FP)]
+
+
+def test_what_is_stored_does_not_depend_on_the_batch_size(manager_keypair, identities,
+                                                           tmp_path, monkeypatch):
+    # The second half repeats the first, so the 1 MiB batches send duplicates
+    # of packages an earlier batch stored, where one 4 MiB batch holds both.
+    alice = identities["alice"]
+    half = random.Random(31).randbytes(3 * MiB // 2)
+    data = half + half
+    path = str(tmp_path / "file.bin")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    seen = {}
+    for batch in (MiB, 4 * MiB):
+        monkeypatch.setattr(client, "TRANSFER_BATCH", batch)
+        root = tmp_path / str(batch)
+        service = StorageService(str(root / "data"), str(root / "keys"))
+        try:
+            store = StoreSession(LocalBackend(service))
+            keys = KeySession(LocalBackend(KeyManagerService(manager_keypair)))
+            register_identity(store, alice)
+            with open(path, "rb") as fh:
+                fid = client.store_file(
+                    client._chunk_blocks(client._read_blocks(fh, batch), RABIN), path,
+                    policy=["alice"], identity=alice, store=store, keys=keys,
+                    scheme=caont.SCHEME_ENHANCED, keying=KEYING_SIMILARITY,
+                    seg_params=SegmentationParams())
+            stub_version, stub_blob = store.get_stub(fid)
+            state = unwrap_state(store.get_state(fid)[1], alice.access_key, alice.user_id)
+            stats = store.stats()
+            containers = root / "data" / "containers"
+            seen[batch] = dict(
+                containers={name: (containers / name).read_bytes()
+                            for name in sorted(os.listdir(containers))},
+                records=package_records(str(root / "data")),
+                bytes=(stats.physical_bytes, stats.logical_bytes),
+                recipe=client.Recipe.decode(store.get_recipe(fid)),
+                stubs=bytes(caont.decrypt_stub_file(
+                    stub_blob, derive_file_key(unwind_to(state, stub_version)))),
+                key_requests=keys.request_count,
+                download=client.download(fid, identity=alice, store=store))
+        finally:
+            service.close()
+    small, large = seen[MiB], seen[4 * MiB]
+    assert small["bytes"][1] == len(data)
+    assert small["bytes"][0] < len(data)  # the repeated half was deduplicated
+    assert small["download"] == data
+    for key in small:
+        assert small[key] == large[key], key
 
 
 def test_span_tracer_sees_every_stage(cluster, identities, tmp_path):

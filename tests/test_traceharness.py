@@ -361,7 +361,9 @@ def test_trace_cli_replay_output_is_pinned(tmp_path, capsys, mode):
     (["gen", "--seed", "1", "--snapshots", "2", "--chunks", "3", "--mutate", "2"],
      "mutation rate must be within [0, 1]"),
     (["replay", "{trace}", "--mode", "chunk", "--avg-segment", "0"],
-     "sizes must be positive"),
+     "--avg-segment: expected a size of at least 1 byte, got '0'"),
+    (["replay", "{trace}", "--mode", "chunk", "--avg-chunk", "0"],
+     "--avg-chunk: expected a size of at least 1 byte, got '0'"),
     (["gen", "--seed", "1", "--snapshots", "0", "--chunks", "2", "--mutate", "0.1"],
      "snapshots must be at least 1"),
     (["gen", "--seed", "1", "--snapshots", "2", "--chunks", "-3", "--mutate", "0.1"],
@@ -370,8 +372,8 @@ def test_trace_cli_replay_output_is_pinned(tmp_path, capsys, mode):
      "--avg-segment: expected a size of the form <bytes>[K|M|G], got 'abc'"),
     (["replay", "{trace}", "--mode", "chunk", "--avg-chunk=-8K"],
      "--avg-chunk: expected a size of the form <bytes>[K|M|G], got '-8K'"),
-], ids=["missing-trace", "mutate-2", "avg-segment-0", "snapshots-0", "chunks-negative",
-        "avg-segment-abc", "avg-chunk-negative"])
+], ids=["missing-trace", "mutate-2", "avg-segment-0", "avg-chunk-0", "snapshots-0",
+        "chunks-negative", "avg-segment-abc", "avg-chunk-negative"])
 def test_trace_cli_reports_a_bad_input_as_one_error_line(tmp_path, capsys, argv, message):
     trace_path = tmp_path / "t.trace"
     trace_path.write_text(format_trace(generate_trace(1, 1, 3, 0.0)))
