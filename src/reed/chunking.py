@@ -101,7 +101,6 @@ class SegmentationParams:
 @dataclass
 class Segment:
     chunks: list  # list[tuple[Chunk, Fingerprint]]
-    total_bytes: int
     representative: Fingerprint
 
 
@@ -233,7 +232,7 @@ def segment(pairs: Sequence[tuple], params: SegmentationParams) -> list[Segment]
     def seal():
         nonlocal cur, total
         rep = min(fp for _, fp in cur)
-        segments.append(Segment(chunks=cur, total_bytes=total, representative=rep))
+        segments.append(Segment(chunks=cur, representative=rep))
         cur = []
         total = 0
 

@@ -25,12 +25,12 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from . import caont, wire
 from .chunking import (Chunk, ChunkingParams, Segment, SegmentationParams,
                        chunk_stream, fingerprint, segment)
-from .errors import (IntegrityViolation, InvalidOperand, SchemeNotAllowed,
+from .errors import (IntegrityViolation, InvalidOperand, NotOwner, SchemeNotAllowed,
                      TransportError)
 from .keygen import KeySession
-from .rekeying import (DerivationKeyPair, access_public_pem, derive_file_key,
-                       generate_access_keypair, new_state, unwind_to, unwrap_state,
-                       wrap_state)
+from .rekeying import (ACTIVE, LAZY, DerivationKeyPair, KeyState, access_public_pem,
+                       derive_file_key, generate_access_keypair, new_state, unwind_to,
+                       unwrap_state, wrap_state)
 from . import rekeying
 from .server import MAX_BLOB_ID, ServerStats, _atomic_write, _make_dirs
 
@@ -44,7 +44,9 @@ KEYINGS = (KEYING_CHUNK, KEYING_SIMILARITY)
 # about 0.7 more round trips and 1.2 more fsyncs per MB; 512 KiB saved only
 # 3 MB more, and doubles the requests again.
 TRANSFER_BATCH = 1024 * 1024
-RECIPE_FORMAT = 1
+# u32 format || u64 entry count || u8 scheme || u8 keying (1 similarity) ||
+# entries; by the count, a recipe short of a whole entry reads as truncated
+RECIPE_FORMAT = 2
 _RECIPE_ENTRY = struct.Struct(">32sII")  # fingerprint, chunk length, segment index
 
 
@@ -214,41 +216,40 @@ def file_id_for(owner_id: str, path: str) -> str:
 
 @dataclass
 class Recipe:
-    file_id: str  # 64 hex chars
-    pathname: str
-    size: int
+    """The chunks of a file, in order. The blob's name is the file id and
+    the state record holds the version, so the recipe repeats neither, and
+    the owner's path never reaches the store."""
+
     scheme: int
     keying: str
-    state_version: int
     entries: list = field(default_factory=list)  # (fp, length, segment index)
+
+    @property
+    def size(self) -> int:
+        return sum(length for _, length, _ in self.entries)
 
     @property
     def chunk_count(self) -> int:
         return len(self.entries)
 
     def encode(self) -> bytes:
-        parts = [wire.u32(RECIPE_FORMAT), bytes.fromhex(self.file_id),
-                 wire.prefixed(self.pathname.encode("utf-8")),
-                 wire.u64(self.size), wire.u64(len(self.entries)),
-                 bytes([self.scheme, 1 if self.keying == KEYING_SIMILARITY else 0]),
-                 wire.u32(self.state_version)]
+        parts = [wire.u32(RECIPE_FORMAT), wire.u64(len(self.entries)),
+                 bytes([self.scheme, 1 if self.keying == KEYING_SIMILARITY else 0])]
         parts.extend(_RECIPE_ENTRY.pack(*entry) for entry in self.entries)
         return b"".join(parts)
 
     @classmethod
     def decode(cls, blob: bytes) -> "Recipe":
-        """Parse a recipe. Any damage raises IntegrityViolation naming it, as a
-        damaged stub file or package does."""
+        """Parse a recipe. Any damage, and any other format, raises
+        IntegrityViolation naming it, as a damaged stub file or package does."""
         r = wire.Reader(blob)
         try:
-            if r.u32() != RECIPE_FORMAT:
-                raise IntegrityViolation("unsupported recipe format")
-            file_id = r.take(32).hex()
-            pathname = r.text()
-            size = r.u64()
+            fmt = r.u32()
+            if fmt != RECIPE_FORMAT:
+                raise IntegrityViolation(f"unsupported recipe format {fmt}: this "
+                                         f"build reads only format {RECIPE_FORMAT}")
             count = r.u64()
             scheme, keying = r.u8(), r.u8()
-            state_version = r.u32()
             entries = list(_RECIPE_ENTRY.iter_unpack(r.take(count * _RECIPE_ENTRY.size)))
             r.done()
         except InvalidOperand as exc:
@@ -257,11 +258,8 @@ class Recipe:
             raise IntegrityViolation(f"recipe names no scheme: scheme byte {scheme}")
         if keying > 1:
             raise IntegrityViolation(f"recipe names no keying: keying byte {keying}")
-        if sum(length for _, length, _ in entries) != size:
-            raise IntegrityViolation("recipe chunk lengths do not add up to the file size")
-        return cls(file_id=file_id, pathname=pathname, size=size, scheme=scheme,
-                   keying=KEYING_SIMILARITY if keying else KEYING_CHUNK,
-                   state_version=state_version, entries=entries)
+        return cls(scheme=scheme, keying=KEYING_SIMILARITY if keying else KEYING_CHUNK,
+                   entries=entries)
 
 
 # -- pipelines ----------------------------------------------------------------------
@@ -341,8 +339,7 @@ def _keyed_chunks(chunk_blocks: Iterable[tuple[list[Chunk], bool]], keying: str,
         if not pairs:
             continue
         if keying == KEYING_CHUNK:
-            segments = [Segment(chunks=[pair], total_bytes=pair[0].length,
-                                representative=pair[1]) for pair in pairs]
+            segments = [Segment(chunks=[pair], representative=pair[1]) for pair in pairs]
         else:
             segments = segment(pairs, seg_params)
             open_pairs = [] if last else segments.pop().chunks
@@ -394,10 +391,7 @@ def store_file(chunk_blocks: Iterable[tuple[list[Chunk], bool]], path: str, *,
         store.put_packages(batch)
 
     stub_blob = caont.encrypt_stub_file(stubs, derive_file_key(state))
-    recipe = Recipe(file_id=file_id, pathname=path,
-                    size=sum(length for _, length, _ in entries), scheme=scheme,
-                    keying=keying, state_version=state.version, entries=entries)
-    store.put_recipe(file_id, recipe.encode())
+    store.put_recipe(file_id, Recipe(scheme, keying, entries).encode())
     store.put_stub(file_id, state.version, stub_blob)
     store.put_state(file_id, state.version, wrapped)
     return file_id
@@ -418,20 +412,27 @@ def upload(path: str, *, policy: list[str], identity: ClientIdentity,
                           scheme=scheme, keying=keying, seg_params=seg_params)
 
 
+def _read_state_and_stubs(file_id: str, identity: ClientIdentity, store: StoreSession
+                          ) -> tuple[int, KeyState, bytes]:
+    """The version of the file's state record, its state, and its stub file's
+    plaintext. The stub file is read first: a stub version is written only
+    after the state of that version commits, and state versions only go up,
+    so the state read next can always unwind to the stub file's version (an
+    upload's stub v0 has no state before it)."""
+    stub_version, stub_blob = store.get_stub(file_id)
+    version, wrapped = store.get_state(file_id)
+    state = unwrap_state(wrapped, identity.access_key, identity.user_id)
+    file_key = derive_file_key(unwind_to(state, stub_version))
+    return version, state, caont.decrypt_stub_file(stub_blob, file_key)
+
+
 def download_to(file_id: str, sink: BinaryIO, *, identity: ClientIdentity,
                 store: StoreSession) -> int:
     """Fetch, verify and write a file to sink one batch at a time; returns
     its size. Aborts on any tampered chunk, after writing the batches before
     it."""
     recipe = Recipe.decode(store.get_recipe(file_id))
-    # Stub first: an active rekey writes stub version v only after state v
-    # commits, and state versions only go up, so the state read next is
-    # never older than the stub (an upload's stub v0 has no state before it).
-    stub_version, stub_blob = store.get_stub(file_id)
-    state = unwrap_state(store.get_state(file_id)[1], identity.access_key,
-                         identity.user_id)
-    file_key = derive_file_key(unwind_to(state, stub_version))
-    stubs = memoryview(caont.decrypt_stub_file(stub_blob, file_key))
+    stubs = memoryview(_read_state_and_stubs(file_id, identity, store)[2])
     if len(stubs) != caont.STUB_SIZE * recipe.chunk_count:
         raise IntegrityViolation("stub count does not match the recipe")
 
@@ -465,8 +466,32 @@ def download(file_id: str, *, identity: ClientIdentity, store: StoreSession) -> 
 
 def rekey_file(file_id: str, *, new_policy: list[str], mode: str,
                identity: ClientIdentity, store: StoreSession) -> int:
-    """Advance the file's key state; returns the new version."""
-    return rekeying.rekey(store, file_id=file_id, new_policy=new_policy,
-                          mode=mode, user_id=identity.user_id,
-                          access_private_key=identity.access_key,
-                          derivation=identity.derivation)
+    """Advance the owner's file to a new key state wrapped under new_policy;
+    returns the new version. Trimmed packages are never touched.
+
+    The state compare-and-set is the serialization point: a rekey that
+    commits after this one's reads makes it raise VersionConflict before it
+    writes anything. An active rekey reads and decrypts the stub file before
+    that point, so a damaged one commits nothing, and re-encrypts it under
+    the new file key after it. That put replaces the server's only copy, so
+    a revoked member's old file key opens no stub file the server keeps. A
+    crash between the two puts leaves a readable file whose stub file is one
+    unwind behind.
+    """
+    if mode not in (LAZY, ACTIVE):
+        raise ValueError(f"unknown rekey mode {mode!r}")
+    if mode == ACTIVE:
+        current, state, stubs = _read_state_and_stubs(file_id, identity, store)
+    else:
+        current, wrapped = store.get_state(file_id)
+        state = unwrap_state(wrapped, identity.access_key, identity.user_id)
+    if state.owner_id != identity.user_id:
+        raise NotOwner(f"{identity.user_id!r} does not own this file")
+    new = rekeying.wind(state, identity.derivation)
+    wrapped = wrap_state(new, rekeying.resolve_policy(store, new_policy))
+    store.put_state(file_id, new.version, wrapped, expected_prev=current)
+    if mode == ACTIVE:
+        # below a later active rekey's stub file, this put changes nothing
+        store.put_stub(file_id, new.version,
+                       caont.encrypt_stub_file(stubs, derive_file_key(new)))
+    return new.version

@@ -278,44 +278,3 @@ def unwrap_state(blob: bytes, private_key: X25519PrivateKey, user_id: str) -> Ke
     if state.version != version:
         raise AccessDenied("wrap header version does not match the state")
     return state
-
-
-# -- rekey procedure ----------------------------------------------------------------
-
-
-def rekey(store, *, file_id: str, new_policy: Iterable[str], mode: str,
-          user_id: str, access_private_key: X25519PrivateKey,
-          derivation: DerivationKeyPair | None) -> int:
-    """Advance a file's key state and re-wrap it under a new policy.
-
-    The state compare-and-set at the key store is the serialization point;
-    in active mode the stub file is re-encrypted under the new file key
-    afterwards, so a crash in between leaves a readable file whose stubs
-    are simply one unwind behind. The re-encrypted stub file replaces the
-    server's only copy, so a revoked member's old file key opens no stub
-    file the server keeps. A stub file already newer than the new state
-    means a later active rekey re-encrypted it, so this one is done.
-    Trimmed packages are never touched. Returns the new state version.
-    """
-    if mode not in (LAZY, ACTIVE):
-        raise ValueError(f"unknown rekey mode {mode!r}")
-
-    current_version, wrapped = store.get_state(file_id)
-    state = unwrap_state(wrapped, access_private_key, user_id)
-    if state.owner_id != user_id:
-        raise NotOwner(f"{user_id!r} does not own this file")
-    new = wind(state, derivation)
-    directory = resolve_policy(store, new_policy)
-    new_wrapped = wrap_state(new, directory)
-    store.put_state(file_id, new.version, new_wrapped, expected_prev=current_version)
-
-    if mode == ACTIVE:
-        stub_version, stub_blob = store.get_stub(file_id)
-        if stub_version > new.version:
-            return new.version
-        old_key = derive_file_key(unwind_to(new, stub_version))
-        plain = caont.decrypt_stub_file(stub_blob, old_key)
-        new_blob = caont.encrypt_stub_file(plain, derive_file_key(new))
-        # below a later active rekey's stub file, this put changes nothing
-        store.put_stub(file_id, new.version, new_blob)
-    return new.version

@@ -327,7 +327,12 @@ class BlobStore:
 
     def put(self, kind: str, obj_id: str, version: int, blob,
             expected_prev: int | None = None) -> None:
-        """Store blob, any byte buffer, as the object's record at version."""
+        """Store blob, any byte buffer, as the object's record at version.
+
+        A user key is created once. A put over one would hand every file
+        later wrapped to that user to whoever sent it, so it changes
+        nothing: it is acknowledged if the record holds the same bytes, and
+        refused with VersionConflict naming the user otherwise."""
         path = self._path(kind, obj_id)
         with self._lock:
             current, old_size = None, 0
@@ -335,6 +340,11 @@ class BlobStore:
                 with open(path, "rb") as fh:
                     current = _VERSION.unpack(fh.read(_VERSION.size))[0]
                     old_size = os.fstat(fh.fileno()).st_size - _VERSION.size
+                    if kind == "userkey":
+                        if fh.read() != blob:
+                            raise VersionConflict(f"user {obj_id!r} already has a different "
+                                                  f"key, and a user key is never replaced")
+                        return
             except FileNotFoundError:
                 _make_dirs(os.path.dirname(path))
             if expected_prev is not None and current != expected_prev:

@@ -282,11 +282,15 @@ def oracle_segment_offsets(fps: list[bytes], sizes: list[int],
     return bounds
 
 
+def size_of(seg) -> int:
+    return sum(chunk.length for chunk, _ in seg.chunks)
+
+
 def test_segment_single_small_chunk():
     params = SegmentationParams()
     segs = segment([pair_of(5, size=100)], params)
     assert len(segs) == 1
-    assert segs[0].total_bytes == 100
+    assert size_of(segs[0]) == 100
     assert segs[0].representative == fp_of(5)
 
 
@@ -340,8 +344,8 @@ def test_segment_size_law():
     segs = segment(pairs, params)
     max_chunk = max(c.length for c, _ in pairs)
     for s in segs[:-1]:
-        assert params.min_size <= s.total_bytes <= params.max_size + max_chunk
-    assert segs[-1].total_bytes <= params.max_size + max_chunk
+        assert params.min_size <= size_of(s) <= params.max_size + max_chunk
+    assert size_of(segs[-1]) <= params.max_size + max_chunk
     assert sum(len(s.chunks) for s in segs) == len(pairs)
 
 
@@ -359,8 +363,8 @@ def test_segment_identical_streams_identical_segments():
     params = SegmentationParams(avg_size=32768, avg_chunk_size=8192)
     one = segment(list(pairs), params)
     two = segment(list(pairs), params)
-    assert [(s.total_bytes, s.representative) for s in one] == \
-        [(s.total_bytes, s.representative) for s in two]
+    assert [(size_of(s), s.representative) for s in one] == \
+        [(size_of(s), s.representative) for s in two]
 
 
 def test_segment_rejects_empty_stream():

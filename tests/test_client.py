@@ -18,12 +18,14 @@ from conftest import assert_one_stub_record, tree_digest
 from reed import caont, cli, wire
 from reed.chunking import ChunkingParams, SegmentationParams
 from reed.client import (ClientIdentity, Connection, Recipe, StoreSession, download,
-                         file_id_for, rekey_file, upload)
+                         file_id_for, register_identity, rekey_file, upload)
 from reed.config import Config, parse_address, parse_size
 from reed.errors import (AccessDenied, AuthenticationFailure, IntegrityViolation,
-                         NotFound, NotOwner, PolicyEmpty, SchemeNotAllowed, UnknownUser)
+                         NotFound, NotOwner, PolicyEmpty, SchemeNotAllowed, UnknownUser,
+                         VersionConflict)
 from reed.keygen import KeyManagerService, KeySession, ManagerKeyPair
-from reed.rekeying import DerivationKeyPair, derive_file_key, unwrap_state
+from reed.rekeying import (DerivationKeyPair, derive_file_key, generate_access_keypair,
+                           unwrap_state)
 from reed.server import StorageService
 
 FIXED_8K = ChunkingParams(mode="fixed", avg_size=8192)
@@ -467,6 +469,40 @@ def test_upload_to_a_member_that_cannot_be_wrapped_to_sends_no_package(
         store.get_recipe(file_id_for("alice", path))
 
 
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_a_registered_user_key_is_never_replaced(ready, identities, tmp_path, transport):
+    store = (StoreSession(wire.LocalBackend(ready.service)) if transport == "local"
+             else ready.store_session())
+    bob = identities["bob"]
+    impostor = ClientIdentity("bob", generate_access_keypair(), bob.derivation)
+    register_identity(store, bob)  # the same bytes again are acknowledged
+    with pytest.raises(VersionConflict, match="^user 'bob' already has a different key"):
+        register_identity(store, impostor)
+    assert store.get_user_key("bob") == bob.public_record()
+    data = random.Random(17).randbytes(30_000)
+    path = write_file(tmp_path, "f.bin", data)
+    fid = upload(path, policy=["alice", "bob"], identity=identities["alice"], store=store,
+                 keys=ready.key_session())
+    assert download(fid, identity=bob, store=store) == data
+    with pytest.raises(AccessDenied):
+        download(fid, identity=impostor, store=store)
+
+
+def test_an_uploaded_recipe_holds_neither_its_path_nor_its_file_id(ready, identities,
+                                                                   tmp_path):
+    data = random.Random(18).randbytes(100_000)
+    path = write_file(tmp_path, "private-name.bin", data)
+    store = ready.store_session()
+    fid = upload(path, policy=["alice"], identity=identities["alice"], store=store,
+                 keys=ready.key_session(), chunk_params=FIXED_8K)
+    blob = store.get_recipe(fid)
+    recipe = Recipe.decode(blob)
+    assert (recipe.chunk_count, recipe.size) == (13, len(data))
+    assert len(blob) == 14 + 40 * 13
+    for leak in (path.encode(), b"private-name", fid.encode(), bytes.fromhex(fid)):
+        assert leak not in blob
+
+
 def test_identity_save_load_keeps_primes(identities, tmp_path):
     alice = identities["alice"]
     alice.save(str(tmp_path))
@@ -747,32 +783,36 @@ def test_cli_refuses_an_identity_without_primes_naming_its_file(ready, tmp_path,
 
 
 def test_cli_bad_recipe_exits_with_an_error(ready, tmp_path, capsys):
+    """A recipe of format 1, which held the file id, path, size and state
+    version, or of a format not yet written, exits 3 naming its format."""
     cfg = make_config(tmp_path, ready, "recipeuser")
     assert cli.main(["--config", cfg, "keygen-register", "--user", "recipeuser"]) == 0
     fid = "ab" * 32
-    ready.store_session().put_recipe(fid, b"\x00\x00\x00\x02")  # format 2
+    format_1 = b"".join([wire.u32(1), bytes.fromhex(fid), wire.prefixed(b"/f"), wire.u64(3),
+                         wire.u64(1), bytes([caont.SCHEME_ENHANCED, 1]), wire.u32(0),
+                         bytes(32), wire.u32(3), wire.u32(0)])
     out_path = os.path.join(str(tmp_path), "r.bin")
-    capsys.readouterr()
-    assert cli.main(["--config", cfg, "download", fid, "-o", out_path]) == 3
-    assert capsys.readouterr().err == "error: unsupported recipe format\n"
-    assert not os.path.exists(out_path)
+    for fmt, blob in [(1, format_1), (3, wire.u32(3))]:
+        ready.store_session().put_recipe(fid, blob)
+        capsys.readouterr()
+        assert cli.main(["--config", cfg, "download", fid, "-o", out_path]) == 3
+        assert capsys.readouterr().err == (
+            f"error: unsupported recipe format {fmt}: this build reads only format 2\n")
+        assert not os.path.exists(out_path)
 
 
-def recipe_blob(scheme: int = caont.SCHEME_ENHANCED, keying: int = 1,
-                path: bytes = b"/f") -> bytes:
-    """A format-1 recipe of one 3-byte chunk, written field by field."""
-    return b"".join([wire.u32(1), bytes(32), wire.prefixed(path), wire.u64(3), wire.u64(1),
-                     bytes([scheme, keying]), wire.u32(0),
+def recipe_blob(scheme: int = caont.SCHEME_ENHANCED, keying: int = 1) -> bytes:
+    """A recipe of one 3-byte chunk, written field by field."""
+    return b"".join([wire.u32(2), wire.u64(1), bytes([scheme, keying]),
                      bytes(32), wire.u32(3), wire.u32(0)])
 
 
 @pytest.mark.parametrize("blob, fault", [
     (recipe_blob()[:-1], "damaged recipe: truncated payload"),
     (recipe_blob() + b"\x00", "damaged recipe: trailing bytes in payload"),
-    (recipe_blob(path=b"\xff\xfe"), "damaged recipe: text field is not valid UTF-8"),
     (recipe_blob(scheme=7), "recipe names no scheme: scheme byte 7"),
     (recipe_blob(keying=2), "recipe names no keying: keying byte 2"),
-], ids=["truncated", "trailing-byte", "non-utf8-path", "unknown-scheme", "unknown-keying"])
+], ids=["truncated", "trailing-byte", "unknown-scheme", "unknown-keying"])
 def test_a_damaged_recipe_is_an_integrity_violation(blob, fault):
     with pytest.raises(IntegrityViolation) as info:
         Recipe.decode(blob)

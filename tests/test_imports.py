@@ -5,7 +5,8 @@ a stale import after a deletion is dead code that still loads, and it can
 hide a cycle. No module reaches into cryptography's private bindings,
 reed.caont says plainly when the libcrypto it needs, or one call in it, is
 absent, and the entry points load no module that only a library search
-would need.
+would need. Only client.py writes a file's recipe, stub file or key state,
+so the rule that pairs those records lives in one module.
 """
 
 import ast
@@ -43,6 +44,24 @@ def test_every_import_is_used(module):
 
 def test_guard_sees_an_unused_import():
     assert unused_imports("import os\nfrom x import y as z\nz()\n") == ["os (line 1)"]
+
+
+FILE_RECORD_PUTS = {"put_recipe", "put_stub", "put_state"}
+
+
+def file_record_puts(source: str) -> list[str]:
+    return sorted(f"{node.func.attr} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in FILE_RECORD_PUTS)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_client_writes_a_files_records(module):
+    with open(os.path.join(SRC, module)) as fh:
+        puts = file_record_puts(fh.read())
+    # client.py must show some, so the guard is seen to find them
+    assert bool(puts) == (module == "client.py"), (module, puts)
 
 
 PRIVATE_BINDINGS = "cryptography.hazmat.bindings"

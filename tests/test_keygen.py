@@ -351,8 +351,7 @@ def test_full_cache_is_bounded_in_entries_and_memory(pair, monkeypatch):
 
 def seg_for(fps: list[bytes]) -> Segment:
     chunks = [(Chunk(b"x" * 64), fp) for fp in fps]
-    return Segment(chunks=chunks, total_bytes=64 * len(fps),
-                   representative=min(fps))
+    return Segment(chunks=chunks, representative=min(fps))
 
 
 def test_single_chunk_segment_reduces_to_chunk_key(pair, session):

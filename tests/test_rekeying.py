@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_one_stub_record, private_operands
 from reed import caont, rekeying, wire
-from reed.client import StoreSession
+from reed.client import ClientIdentity, StoreSession, rekey_file
 from reed.errors import (AccessDenied, AtInitialState, AuthenticationFailure,
                          NotOwner, PolicyEmpty, PrivateKeyFault, UnknownUser,
                          VersionConflict)
@@ -334,13 +334,17 @@ def _seed_file(store, owner_keys, access_keys, directory, policy=("alice", "bob"
     return state, stubs
 
 
-def test_lazy_rekey_moves_only_the_state(store, owner_keys, access_keys, directory):
+@pytest.fixture(scope="module")
+def alice(owner_keys, access_keys):
+    return ClientIdentity("alice", access_keys["alice"], owner_keys)
+
+
+def test_lazy_rekey_moves_only_the_state(store, owner_keys, access_keys, directory,
+                                         alice):
     state, stubs = _seed_file(store, owner_keys, access_keys, directory)
     stub_before = store.get_stub("file-1")
-    version = rekeying.rekey(store, file_id="file-1", new_policy=["alice"],
-                             mode="lazy", user_id="alice",
-                             access_private_key=access_keys["alice"],
-                             derivation=owner_keys)
+    version = rekey_file("file-1", new_policy=["alice"], mode="lazy", identity=alice,
+                         store=store)
     assert version == 1
     assert store.get_stub("file-1") == stub_before  # untouched
     got_version, wrapped = store.get_state("file-1")
@@ -351,12 +355,10 @@ def test_lazy_rekey_moves_only_the_state(store, owner_keys, access_keys, directo
     assert caont.decrypt_stub_file(stub_before[1], old_key) == stubs
 
 
-def test_active_rekey_reencrypts_stubs(store, owner_keys, access_keys, directory):
+def test_active_rekey_reencrypts_stubs(store, owner_keys, access_keys, directory, alice):
     state, stubs = _seed_file(store, owner_keys, access_keys, directory)
     _, old_blob = store.get_stub("file-1")
-    rekeying.rekey(store, file_id="file-1", new_policy=["alice"], mode="active",
-                   user_id="alice", access_private_key=access_keys["alice"],
-                   derivation=owner_keys)
+    rekey_file("file-1", new_policy=["alice"], mode="active", identity=alice, store=store)
     new_version, new_blob = store.get_stub("file-1")
     assert new_version == 1
     assert new_blob != old_blob
@@ -368,14 +370,12 @@ def test_active_rekey_reencrypts_stubs(store, owner_keys, access_keys, directory
 
 
 def test_active_rekey_leaves_no_stub_file_for_old_keys(store, owner_keys, access_keys,
-                                                       directory, tmp_path):
+                                                       directory, tmp_path, alice):
     state, _ = _seed_file(store, owner_keys, access_keys, directory)
     bob_key = derive_file_key(unwrap_state(store.get_state("file-1")[1],
                                            access_keys["bob"], "bob"))
     for mode in ("lazy", "active"):
-        rekeying.rekey(store, file_id="file-1", new_policy=["alice"], mode=mode,
-                       user_id="alice", access_private_key=access_keys["alice"],
-                       derivation=owner_keys)
+        rekey_file("file-1", new_policy=["alice"], mode=mode, identity=alice, store=store)
     current, _ = store.get_stub("file-1")
     assert current == 2
     assert_one_stub_record(str(tmp_path / "data"), store, "file-1")
@@ -383,44 +383,85 @@ def test_active_rekey_leaves_no_stub_file_for_old_keys(store, owner_keys, access
         caont.decrypt_stub_file(store.get_stub("file-1")[1], bob_key)
 
 
-class RekeyInsideGetStub:
-    """A store whose first stub read runs another rekey, before or after it reads."""
+def test_active_rekey_of_a_damaged_stub_file_commits_nothing(store, owner_keys,
+                                                             access_keys, directory, alice):
+    _seed_file(store, owner_keys, access_keys, directory)
+    version, blob = store.get_stub("file-1")
+    damaged = bytearray(blob)
+    damaged[len(damaged) // 2] ^= 1
+    store.put_stub("file-1", version, bytes(damaged))
+    before = store.get_state("file-1"), store.get_stub("file-1")
+    with pytest.raises(AuthenticationFailure):
+        rekey_file("file-1", new_policy=["alice"], mode="active", identity=alice,
+                   store=store)
+    assert (store.get_state("file-1"), store.get_stub("file-1")) == before
+    assert wrapped_policy(before[0][1]) == ["alice", "bob"]
 
-    def __init__(self, store, rekey, first):
+
+class RekeyInside:
+    """A store whose first call of one method runs another rekey, before or
+    after the call itself."""
+
+    def __init__(self, store, method, rekey, first=True):
         self._store = store
+        self._method = method
         self.rekey = rekey
         self.first = first
 
     def __getattr__(self, name):
-        return getattr(self._store, name)
+        call = getattr(self._store, name)
+        if name != self._method:
+            return call
 
-    def get_stub(self, file_id):
-        rekey, self.rekey = self.rekey, None
-        if rekey and self.first:
-            rekey()
-        got = self._store.get_stub(file_id)
-        if rekey and not self.first:
-            rekey()
-        return got
+        def racing(*args, **kwargs):
+            rekey, self.rekey = self.rekey, None
+            if rekey and self.first:
+                rekey()
+            got = call(*args, **kwargs)
+            if rekey and not self.first:
+                rekey()
+            return got
+        return racing
 
 
-@pytest.mark.parametrize("first", [True, False], ids=["before-read", "after-read"])
+def test_active_rekey_overtaken_before_its_commit_writes_nothing(store, owner_keys,
+                                                                 access_keys, directory,
+                                                                 alice):
+    _seed_file(store, owner_keys, access_keys, directory)
+    left = []
+
+    def overtake():
+        rekey_file("file-1", new_policy=["alice"], mode="active", identity=alice,
+                   store=store)
+        left.append((store.get_state("file-1"), store.get_stub("file-1")))
+
+    racing = RekeyInside(store, "put_state", overtake)
+    with pytest.raises(VersionConflict):
+        rekey_file("file-1", new_policy=["alice"], mode="active", identity=alice,
+                   store=racing)
+    assert racing.rekey is None
+    assert (store.get_state("file-1"), store.get_stub("file-1")) == left[0]
+    assert (left[0][0][0], left[0][1][0]) == (1, 1)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["before-put", "after-put"])
 def test_overtaken_active_rekey_succeeds(store, owner_keys, access_keys, directory,
-                                         first, tmp_path):
+                                         first, tmp_path, alice):
+    """A rekey that lands inside the stub put leaves the later stub version."""
     _, stubs = _seed_file(store, owner_keys, access_keys, directory)
 
     def active(on):
-        return rekeying.rekey(on, file_id="file-1", new_policy=["alice"], mode="active",
-                              user_id="alice", access_private_key=access_keys["alice"],
-                              derivation=owner_keys)
+        return rekey_file("file-1", new_policy=["alice"], mode="active", identity=alice,
+                          store=on)
 
-    racing = RekeyInsideGetStub(store, lambda: active(store), first)
-    assert active(racing) == 1  # overtaken after its state commit, and not an error
+    racing = RekeyInside(store, "put_stub", lambda: active(store), first)
+    assert active(racing) == 1
     assert racing.rekey is None
     version, blob = store.get_stub("file-1")
     assert version == 2
     assert_one_stub_record(str(tmp_path / "data"), store, "file-1")
     state = unwrap_state(store.get_state("file-1")[1], access_keys["alice"], "alice")
+    assert state.version == 2
     assert caont.decrypt_stub_file(blob, derive_file_key(state)) == stubs
 
 
@@ -434,27 +475,24 @@ class CountingBackend:
         return self._backend.request(msg_type, payload)
 
 
-def test_active_rekey_adds_no_request(tmp_path, owner_keys, access_keys, directory):
+def test_active_rekey_adds_no_request(tmp_path, owner_keys, access_keys, directory, alice):
     service = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
     backend = CountingBackend(LocalBackend(service))
     store = StoreSession(backend)
     _seed_file(store, owner_keys, access_keys, directory)
     backend.sent.clear()
-    rekeying.rekey(store, file_id="file-1", new_policy=["alice", "bob"], mode="active",
-                   user_id="alice", access_private_key=access_keys["alice"],
-                   derivation=owner_keys)
+    rekey_file("file-1", new_policy=["alice", "bob"], mode="active", identity=alice,
+               store=store)
     service.close()
     get, put = wire.BLOB_GET, wire.BLOB_PUT
     assert backend.sent == [
-        (wire.MSG_WRAPPED_STATE, get), (wire.MSG_USER_KEY, get), (wire.MSG_USER_KEY, get),
-        (wire.MSG_WRAPPED_STATE, put), (wire.MSG_STUB_FILE, get), (wire.MSG_STUB_FILE, put)]
+        (wire.MSG_STUB_FILE, get), (wire.MSG_WRAPPED_STATE, get), (wire.MSG_USER_KEY, get),
+        (wire.MSG_USER_KEY, get), (wire.MSG_WRAPPED_STATE, put), (wire.MSG_STUB_FILE, put)]
 
 
-def test_rekey_revokes_absent_users(store, owner_keys, access_keys, directory):
+def test_rekey_revokes_absent_users(store, owner_keys, access_keys, directory, alice):
     _seed_file(store, owner_keys, access_keys, directory)
-    rekeying.rekey(store, file_id="file-1", new_policy=["alice"], mode="lazy",
-                   user_id="alice", access_private_key=access_keys["alice"],
-                   derivation=owner_keys)
+    rekey_file("file-1", new_policy=["alice"], mode="lazy", identity=alice, store=store)
     _, wrapped = store.get_state("file-1")
     with pytest.raises(AccessDenied):
         unwrap_state(wrapped, access_keys["bob"], "bob")
@@ -462,28 +500,23 @@ def test_rekey_revokes_absent_users(store, owner_keys, access_keys, directory):
 
 def test_rekey_requires_ownership(store, owner_keys, access_keys, directory):
     _seed_file(store, owner_keys, access_keys, directory)
+    bob = ClientIdentity("bob", access_keys["bob"], DerivationKeyPair.generate())
     with pytest.raises(NotOwner):
-        rekeying.rekey(store, file_id="file-1", new_policy=["bob"], mode="lazy",
-                       user_id="bob", access_private_key=access_keys["bob"],
-                       derivation=DerivationKeyPair.generate())
+        rekey_file("file-1", new_policy=["bob"], mode="lazy", identity=bob, store=store)
 
 
-def test_rekey_unknown_policy_member(store, owner_keys, access_keys, directory):
+def test_rekey_unknown_policy_member(store, owner_keys, access_keys, directory, alice):
     _seed_file(store, owner_keys, access_keys, directory)
     with pytest.raises(UnknownUser):
-        rekeying.rekey(store, file_id="file-1", new_policy=["alice", "mallory"],
-                       mode="lazy", user_id="alice",
-                       access_private_key=access_keys["alice"],
-                       derivation=owner_keys)
+        rekey_file("file-1", new_policy=["alice", "mallory"], mode="lazy", identity=alice,
+                   store=store)
 
 
 def test_concurrent_rekeys_serialize_on_version(store, owner_keys, access_keys,
-                                                directory):
+                                                directory, alice):
     state, _ = _seed_file(store, owner_keys, access_keys, directory)
     # a second writer that read version 0 loses the compare-and-set
-    rekeying.rekey(store, file_id="file-1", new_policy=["alice"], mode="lazy",
-                   user_id="alice", access_private_key=access_keys["alice"],
-                   derivation=owner_keys)
+    rekey_file("file-1", new_policy=["alice"], mode="lazy", identity=alice, store=store)
     stale = wrap_state(wind(state, owner_keys), members(directory, "alice"))
     with pytest.raises(VersionConflict):
         store.put_state("file-1", 1, stale, expected_prev=0)
@@ -491,7 +524,7 @@ def test_concurrent_rekeys_serialize_on_version(store, owner_keys, access_keys,
 
 @pytest.mark.parametrize("mode", ["lazy", "active"])
 def test_rekey_with_empty_policy_writes_nothing(tmp_path, owner_keys, access_keys,
-                                                directory, mode):
+                                                directory, mode, alice):
     service = StorageService(str(tmp_path / "data"), str(tmp_path / "keys"))
     backend = CountingBackend(LocalBackend(service))
     store = StoreSession(backend)
@@ -499,9 +532,7 @@ def test_rekey_with_empty_policy_writes_nothing(tmp_path, owner_keys, access_key
     before = store.get_state("file-1"), store.get_stub("file-1")
     backend.sent.clear()
     with pytest.raises(PolicyEmpty):
-        rekeying.rekey(store, file_id="file-1", new_policy=[], mode=mode,
-                       user_id="alice", access_private_key=access_keys["alice"],
-                       derivation=owner_keys)
+        rekey_file("file-1", new_policy=[], mode=mode, identity=alice, store=store)
     assert all(op != wire.BLOB_PUT for _, op in backend.sent)
     assert (store.get_state("file-1"), store.get_stub("file-1")) == before
     service.close()
